@@ -12,7 +12,7 @@ through the node pool:
 * **reassignment** — when a node misses heartbeats past the pool's
   timeout it is evicted and every task it still holds a lease on goes
   back to the front of the queue (a node death is not the task's
-  fault, so reassignment does not consume an attempt);
+  fault, so the attempt its lost lease took is given back);
 * **cross-node speculation** — when the queue is empty, an idle node
   pulling for work may receive a duplicate of the most overdue lease
   held *elsewhere*, gated by the p50-based ETA the chunk scheduler
@@ -30,16 +30,22 @@ controller with no waiting stages has no leases to recover.
 
 from __future__ import annotations
 
-import statistics
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..parallel.executor import DistribStats
-from ..parallel.scheduler import FaultPolicy, SchedulerConfig
+from ..parallel.scheduler import (
+    FaultPolicy,
+    SchedulerConfig,
+    open_attempt,
+    retry_allowed,
+    speculation_eta,
+)
 from .nodepool import NodeInfo, NodePool
 
 #: grace period a board with queued tasks waits for a node to (re)join
@@ -134,7 +140,7 @@ class StageHandle:
         """Outputs in chunk order; raises :class:`DistribError` on a
         task that exhausted its attempts, node loss past the grace
         period, or timeout."""
-        deadline = None if timeout is None else time.time() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self.board._cond:
             while True:
                 if self.error is not None:
@@ -148,7 +154,7 @@ class StageHandle:
                     self.board._forget(self)
                     return [self.results[i] for i in range(self.n)]
                 self.board._tick_locked()
-                if deadline is not None and time.time() > deadline:
+                if deadline is not None and time.monotonic() > deadline:
                     self.board._forget(self)
                     raise DistribError(
                         f"distributed stage timed out with "
@@ -213,7 +219,7 @@ class TaskBoard:
         drain and exit) and raises :class:`UnknownNode` for an evicted
         node (the executor should re-register).
         """
-        deadline = time.time() + max(0.0, wait)
+        deadline = time.monotonic() + max(0.0, wait)
         with self._cond:
             node = self._touch_locked(node_id)
             node.pulls += 1
@@ -223,7 +229,7 @@ class TaskBoard:
                 batch = self._lease_batch_locked(node, max_tasks)
                 if batch:
                     return batch
-                remaining = deadline - time.time()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return []
                 self._tick_locked()
@@ -254,11 +260,8 @@ class TaskBoard:
             if error is not None:
                 if node is not None:
                     node.tasks_failed += 1
-                self.counters["failures"] += 1
-                handle.stats.bump("failures")
-                if state.attempts < self.config.max_attempts:
-                    self.counters["retries"] += 1
-                    handle.stats.bump("retries")
+                if retry_allowed(state.attempts, self.config,
+                                 partial(self._bump, handle)):
                     self._pending.appendleft(task)
                 elif not state.leases:
                     # no attempt left that could still resolve the task
@@ -276,8 +279,7 @@ class TaskBoard:
             if len(self._durations) > _MAX_DURATION_SAMPLES:
                 del self._durations[: len(self._durations) // 2]
             if lease is not None and lease.speculative:
-                self.counters["speculation_wins"] += 1
-                handle.stats.bump("speculation_wins")
+                self._bump(handle, "speculation_wins")
             handle.stats.bump("bytes_returned", len(output or ""))
             handle.results[task.chunk_index] = output or ""
             self._gc_locked(state)
@@ -316,6 +318,11 @@ class TaskBoard:
                               f"(re-register to rejoin)")
         self.pool.touch(node_id)
         return node
+
+    def _bump(self, handle: StageHandle, counter: str) -> None:
+        """Count one event board-wide and in the stage's run stats."""
+        self.counters[counter] += 1
+        handle.stats.bump(counter)
 
     def _forget(self, handle: StageHandle) -> None:
         self._handles.discard(handle)
@@ -377,49 +384,37 @@ class TaskBoard:
         if state is None or state.done:
             return None   # stale queue entry: a duplicate already won
         handle = state.handle
-        while True:
-            delay = 0.0
-            if handle.fault_policy is not None:
-                try:
-                    delay = handle.fault_policy.begin_attempt(
-                        task.stage_index, task.chunk_index, state.attempts)
-                except Exception as exc:  # injected dispatch-time kill
-                    state.attempts += 1
-                    self.counters["failures"] += 1
-                    handle.stats.bump("failures")
-                    if state.attempts >= self.config.max_attempts:
-                        if not state.leases:
-                            handle.error = handle.error or exc
-                            self._cond.notify_all()
-                        return None
-                    self.counters["retries"] += 1
-                    handle.stats.bump("retries")
-                    continue
-            break
+        delay, state.attempts, error = open_attempt(
+            handle.fault_policy, task.stage_index, task.chunk_index,
+            state.attempts, self.config, partial(self._bump, handle))
+        if error is not None:   # injected dispatch-time kills spent the budget
+            if not state.leases:
+                handle.error = handle.error or error
+                self._cond.notify_all()
+            return None
+        return self._grant_locked(state, node, delay)
+
+    def _grant_locked(self, state: _TaskState, node: NodeInfo,
+                      delay: float = 0.0, speculative: bool = False) -> dict:
+        """Spend one attempt of ``state`` on a lease to ``node``."""
         attempt = state.attempts
         state.attempts += 1
-        state.leases.append(_Lease(node.node_id, time.time()))
+        state.leases.append(_Lease(node.node_id, time.monotonic(),
+                                   speculative))
         self.counters["dispatched"] += 1
-        handle.stats.bump("tasks")
-        handle.stats.bump("bytes_shipped", len(task.chunk))
-        return task.to_wire(attempt, delay)
-
-    def _eta_locked(self) -> Optional[float]:
-        if len(self._durations) < self.config.speculation_min_samples:
-            return None
-        p50 = statistics.median(self._durations)
-        return max(self.config.speculation_factor * p50,
-                   self.config.speculation_min_seconds)
+        state.handle.stats.bump("tasks")
+        state.handle.stats.bump("bytes_shipped", len(state.task.chunk))
+        return state.task.to_wire(attempt, delay)
 
     def _pick_straggler_locked(self, node: NodeInfo) -> Optional[dict]:
         """A speculative duplicate of the most overdue lease held on
         *another* node, for an otherwise idle puller."""
         if not self.config.speculate:
             return None
-        eta = self._eta_locked()
+        eta = speculation_eta(self._durations, self.config)
         if eta is None:
             return None
-        now = time.time()
+        now = time.monotonic()
         overdue = []
         for state in self._tasks.values():
             if state.done or state.speculated or not state.leases:
@@ -436,15 +431,8 @@ class TaskBoard:
             return None
         _, state = max(overdue, key=lambda pair: pair[0])
         state.speculated = True
-        attempt = state.attempts
-        state.attempts += 1
-        state.leases.append(_Lease(node.node_id, now, speculative=True))
-        self.counters["dispatched"] += 1
-        self.counters["speculations"] += 1
-        state.handle.stats.bump("speculations")
-        state.handle.stats.bump("tasks")
-        state.handle.stats.bump("bytes_shipped", len(state.task.chunk))
-        return state.task.to_wire(attempt)
+        self._bump(state.handle, "speculations")
+        return self._grant_locked(state, node, speculative=True)
 
     def _tick_locked(self) -> None:
         dead = self.pool.evict_stale()
@@ -458,14 +446,15 @@ class TaskBoard:
                     continue
                 state.leases = [l for l in state.leases
                                 if l.node_id not in dead_ids]
+                # a node death is not the task's fault: the attempts
+                # its lost leases took go back into the retry budget
+                state.attempts -= len(lost)
                 hit_handles.add(state.handle)
                 if state.done:
                     self._gc_locked(state)
                 elif not state.leases:
-                    # a node death is not the task's fault: requeue at
-                    # the front without consuming an attempt
-                    self.counters["reassignments"] += 1
-                    state.handle.stats.bump("reassignments")
+                    # nobody else is working on it: requeue at the front
+                    self._bump(state.handle, "reassignments")
                     self._pending.appendleft(state.task)
             for node in dead:
                 self.counters["evictions"] += 1
@@ -476,7 +465,7 @@ class TaskBoard:
         # it, wait out the grace period then fail instead of hanging
         active = [h for h in self._handles if not h.done]
         if active and self.pool.live_count() == 0:
-            now = time.time()
+            now = time.monotonic()
             if self._no_nodes_since is None:
                 self._no_nodes_since = now
             elif now - self._no_nodes_since > self.no_nodes_grace:

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from typing import Optional
 
 from ..parallel.planner import PipelinePlan
 from ..parallel.scheduler import FaultPolicy, NodeKilled
 from .board import TaskBoard, UnknownNode
 from .nodepool import DEFAULT_CAPACITY, EXECUTOR_ROLE, NodePool
-from .plans import PlanRegistry, entry_to_plan
+from .plans import MAX_RETAINED_PLANS, PlanRegistry, entry_to_plan
 
 #: transport sentinel: the controller no longer knows this node — it
 #: was evicted after missed heartbeats — and it must re-register
@@ -159,7 +160,7 @@ class ExecutorAgent:
         self.tasks_run = 0
         self.tasks_errored = 0
         self.plans_fetched = 0
-        self._plans: Dict[str, PipelinePlan] = {}
+        self._plans: "OrderedDict[str, PipelinePlan]" = OrderedDict()
 
     def register(self) -> None:
         reply = self.transport.register(self.node_id, self.role,
@@ -226,6 +227,12 @@ class ExecutorAgent:
             plan = entry_to_plan(entry)
             self._plans[digest] = plan
             self.plans_fetched += 1
+            if len(self._plans) > MAX_RETAINED_PLANS:
+                # LRU: a later task naming the evicted digest refetches
+                # it exactly as first sight does
+                self._plans.popitem(last=False)
+        else:
+            self._plans.move_to_end(digest)
         return plan
 
     def _complete(self, task: dict, output: Optional[str] = None,

@@ -57,6 +57,8 @@ class NodeInfo:
     role: str = EXECUTOR_ROLE
     capacity: int = DEFAULT_CAPACITY
     state: str = NODE_LIVE
+    #: ``time.monotonic()`` readings: only ever subtracted, so a
+    #: wall-clock step (NTP) can neither evict nor immortalize a node
     registered_at: float = 0.0
     last_seen: float = 0.0
     #: chunk-task results this node returned (successes)
@@ -71,7 +73,7 @@ class NodeInfo:
         return self.state == NODE_LIVE
 
     def to_dict(self, now: Optional[float] = None) -> dict:
-        now = now if now is not None else time.time()
+        now = now if now is not None else time.monotonic()
         return {
             "node_id": self.node_id, "ordinal": self.ordinal,
             "role": self.role, "capacity": self.capacity,
@@ -103,7 +105,7 @@ class NodePool:
                  capacity: int = DEFAULT_CAPACITY) -> NodeInfo:
         """Admit an executor (or revive one re-registering after a
         network blip under its old id)."""
-        now = time.time()
+        now = time.monotonic()
         with self._lock:
             node = self._nodes.get(node_id) if node_id else None
             if node is not None:
@@ -131,7 +133,7 @@ class NodePool:
             node = self._nodes.get(node_id)
             if node is None or not node.live:
                 return False
-            node.last_seen = time.time()
+            node.last_seen = time.monotonic()
             return True
 
     def mark_dead(self, node_id: str) -> bool:
@@ -145,7 +147,7 @@ class NodePool:
 
     def evict_stale(self, now: Optional[float] = None) -> List[NodeInfo]:
         """Mark every heartbeat-expired node dead; returns them."""
-        now = now if now is not None else time.time()
+        now = now if now is not None else time.monotonic()
         dead = []
         with self._lock:
             for node in self._nodes.values():
@@ -166,7 +168,7 @@ class NodePool:
 
     def nodes(self) -> List[dict]:
         """Every node's record, registration order (``/v1/nodes``)."""
-        now = time.time()
+        now = time.monotonic()
         with self._lock:
             ordered = sorted(self._nodes.values(), key=lambda n: n.ordinal)
             return [n.to_dict(now) for n in ordered]

@@ -28,12 +28,21 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections import OrderedDict
 from typing import Dict, Optional
 
 from ..core.synthesis.store import result_from_dict, result_to_dict
 from ..parallel.planner import PipelinePlan, compile_pipeline
 from ..shell.pipeline import Pipeline
 from ..unixsim import ExecContext
+
+
+#: plan entries a registry (controller) or an executor keeps, least
+#: recently used evicted first.  Every entry embeds its job's input
+#: files, so an unbounded table leaks one input per fresh-input job.
+#: Far above any controller's concurrent-job count, so a running job's
+#: plan is never the eviction victim.
+MAX_RETAINED_PLANS = 64
 
 
 def plan_to_entry(plan: PipelinePlan, files: Dict[str, str],
@@ -89,12 +98,15 @@ class PlanRegistry:
     an identical plan returns the same digest); ``entry`` serves one
     replication fetch.  The fetch counters let a run report how many
     replications *it* triggered (executors cache by digest, so steady
-    state is zero).
+    state is zero).  At most :data:`MAX_RETAINED_PLANS` entries are
+    kept; a job registers its plan when it starts, which also makes it
+    the most recently used.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[str, dict] = {}
+        self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self._fetches: Dict[str, int] = {}
+        self._replications = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -107,6 +119,10 @@ class PlanRegistry:
         digest = entry_digest(entry)
         with self._lock:
             self._entries.setdefault(digest, entry)
+            self._entries.move_to_end(digest)
+            if len(self._entries) > MAX_RETAINED_PLANS:
+                evicted, _ = self._entries.popitem(last=False)
+                self._fetches.pop(evicted, None)
         return digest
 
     def entry(self, digest: str) -> Optional[dict]:
@@ -114,16 +130,19 @@ class PlanRegistry:
         with self._lock:
             entry = self._entries.get(digest)
             if entry is not None:
+                self._entries.move_to_end(digest)
                 self._fetches[digest] = self._fetches.get(digest, 0) + 1
+                self._replications += 1
             return entry
 
     def fetches(self, digest: Optional[str] = None) -> int:
+        """Fetches served for one retained digest, or for all ever."""
         with self._lock:
             if digest is not None:
                 return self._fetches.get(digest, 0)
-            return sum(self._fetches.values())
+            return self._replications
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {"plans": len(self._entries),
-                    "replications": sum(self._fetches.values())}
+                    "replications": self._replications}

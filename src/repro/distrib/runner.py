@@ -1,15 +1,16 @@
 """Distributed execution of a compiled plan across executor nodes.
 
-:class:`DistributedRunner` is the barrier data plane with the chunk
-map step moved off-box: sequential stages run inline on the controller
+:class:`DistributedRunner` calls the materializing walker
+(:func:`repro.parallel.walker.run_materialized`) with the chunk map
+step moved off-box: sequential stages run inline on the controller
 (they see the whole stream by definition), while each parallel stage's
 input is split by the :class:`~repro.distrib.nodepool.ShardPlanner`,
 dispatched through the :class:`~repro.distrib.board.TaskBoard` to
 whatever executor nodes are live, and reassembled **by chunk index**
-with the stage's synthesized combiner — exactly the contract
-``run_barrier`` honors locally, which is why the output is
-byte-identical to the serial run regardless of node count, placement,
-retries, reassignment after node death, or cross-node speculation.
+with the stage's synthesized combiner — the very loop ``run_barrier``
+runs locally, which is why the output is byte-identical to the serial
+run regardless of node count, placement, retries, reassignment after
+node death, or cross-node speculation.
 
 The plan itself never travels with the tasks: it is registered once in
 the :class:`~repro.distrib.plans.PlanRegistry` under its content
@@ -23,11 +24,10 @@ import time
 import uuid
 from typing import List, Optional
 
-from ..core.dsl.semantics import EvalEnv
-from ..parallel.executor import BARRIER, DistribStats, RunStats, StageStats
-from ..parallel.planner import PipelinePlan
-from ..parallel.scheduler import FaultPolicy, SchedulerConfig
-from ..parallel.splitter import split_stream
+from ..parallel.executor import BARRIER, DistribStats, RunStats
+from ..parallel.planner import PipelinePlan, StagePlan
+from ..parallel.scheduler import FaultPolicy
+from ..parallel.walker import run_materialized
 from .board import TaskBoard
 from .nodepool import NodePool, ShardPlanner
 from .plans import PlanRegistry
@@ -62,9 +62,6 @@ class DistributedRunner:
         self.last_stats: Optional[RunStats] = None
 
     def run(self, data: Optional[str] = None) -> str:
-        pipeline = self.plan.pipeline
-        stream: Optional[str] = pipeline._initial_stream(data)
-        chunks: Optional[List[str]] = None
         live = self.pool.live()
         dstats = DistribStats(nodes=len(live))
         fetches_before = self.registry.fetches(self.digest)
@@ -77,52 +74,26 @@ class DistributedRunner:
         stats = RunStats(k=self.k, engine=DISTRIBUTED, data_plane=BARRIER,
                          optimized=self.plan.rewrites > 0,
                          rewrites=self.plan.rewrites, distrib=dstats)
+
+        def map_chunks(_stage: StagePlan, index: int,
+                       chunks: List[str]) -> List[str]:
+            preferred = None
+            if node_ids:
+                preferred = [
+                    node_ids[planner.preferred_ordinal(i) % len(node_ids)]
+                    for i in range(len(chunks))]
+            handle = self.board.submit_stage(
+                self.job_id, self.digest, index, chunks, dstats,
+                preferred=preferred, fault_policy=self.fault_policy)
+            return handle.wait(self.stage_timeout)
+
         start = time.perf_counter()
-        for index, stage in enumerate(self.plan.stages):
-            t0 = time.perf_counter()
-            bytes_in = len(stream or "") if chunks is None \
-                else sum(len(c) for c in chunks)
-            if stage.mode == "sequential":
-                if chunks is not None:
-                    stream = "".join(chunks)  # upstream combiner was concat
-                    chunks = None
-                stream, chunks, n_chunks = stage.command.run(stream or ""), \
-                    None, 1
-            else:
-                if chunks is None:
-                    chunks = split_stream(
-                        stream or "",
-                        planner.chunk_count(len(stream or "")))
-                preferred = None
-                if node_ids:
-                    preferred = [
-                        node_ids[planner.preferred_ordinal(i) % len(node_ids)]
-                        for i in range(len(chunks))]
-                handle = self.board.submit_stage(
-                    self.job_id, self.digest, index, chunks, dstats,
-                    preferred=preferred, fault_policy=self.fault_policy)
-                outputs = handle.wait(self.stage_timeout)
-                n_chunks = len(chunks)
-                if stage.eliminated:
-                    stream, chunks = None, outputs
-                else:
-                    env = EvalEnv(run_command=stage.command.run)
-                    stream = stage.combiner.combine(outputs, env) \
-                        if stage.combiner else "".join(outputs)
-                    chunks = None
-            bytes_out = len(stream or "") if chunks is None \
-                else sum(len(c) for c in chunks)
-            stats.stages.append(StageStats(
-                display=stage.command.display(), mode=stage.mode,
-                eliminated=stage.eliminated, chunks=n_chunks,
-                seconds=time.perf_counter() - t0,
-                bytes_in=bytes_in, bytes_out=bytes_out))
-        if chunks is not None:
-            # only reachable when the final stage's combiner was
-            # eliminated, which the planner never does; guard anyway
-            stream = "".join(chunks)
+        output = run_materialized(
+            self.plan, self.plan.pipeline._initial_stream(data),
+            lambda _index, nbytes: planner.chunk_count(nbytes),
+            map_chunks, stats.record_stage)
         dstats.bump("plan_replications",
                     self.registry.fetches(self.digest) - fetches_before)
         stats.seconds = time.perf_counter() - start
         self.last_stats = stats
-        return stream if stream is not None else ""
+        return output

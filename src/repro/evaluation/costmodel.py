@@ -41,8 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.dsl.semantics import EvalEnv
-from ..parallel.planner import PipelinePlan
+from ..parallel.planner import PipelinePlan, StagePlan
 from ..parallel.scheduler import (
     AUTO,
     DEFAULT_TASK_OVERHEAD,
@@ -50,8 +49,8 @@ from ..parallel.scheduler import (
     STEALING,
     stealing_chunk_count,
 )
-from ..parallel.splitter import split_stream
 from ..parallel.streaming import combine_is_cheap
+from ..parallel.walker import StageRun, run_materialized
 
 #: modeled network link between controller and executors: loopback-ish
 #: defaults a LAN deployment would roughly match
@@ -196,59 +195,48 @@ def simulate_plan(plan: PipelinePlan, k: int,
     decomposition of every fresh split (the distrib scaling gate uses
     one decomposition across node counts so only placement differs).
     """
-    pipeline = plan.pipeline
-    stream: Optional[str] = pipeline._initial_stream(data)
-    chunks: Optional[List[str]] = None
     if scheduler is None:
         scheduler = getattr(plan, "scheduler", STATIC)
     if scheduler == AUTO:
         scheduler = STATIC
     run = SimulatedRun(k=k, output="")
+    chunk_seconds: List[float] = []
+    chunk_bytes: List[Tuple[int, int]] = []
 
-    for index, stage in enumerate(plan.stages):
-        record = SimulatedStage(display=stage.command.display(),
-                                mode=stage.mode,
-                                eliminated=stage.eliminated,
-                                workers=k, scheduler=scheduler,
-                                task_overhead=task_overhead
-                                if scheduler == STEALING else 0.0)
-        if stage.mode == "sequential":
-            if chunks is not None:
-                stream = "".join(chunks)
-                chunks = None
+    def chunk_count(index: int, nbytes: int) -> int:
+        if n_chunks is not None:
+            return n_chunks
+        if scheduler == STEALING and combine_is_cheap(plan.stages, index):
+            return stealing_chunk_count(nbytes, k)
+        return k
+
+    def map_chunks(stage: StagePlan, _index: int,
+                   chunks: List[str]) -> List[str]:
+        outputs: List[str] = []
+        for chunk in chunks:
             t0 = time.perf_counter()
-            stream = stage.command.run(stream or "")
-            record.chunk_seconds.append(time.perf_counter() - t0)
-        else:
-            if chunks is None:
-                n = n_chunks if n_chunks is not None else k
-                if n_chunks is None and scheduler == STEALING \
-                        and combine_is_cheap(plan.stages, index):
-                    n = stealing_chunk_count(len(stream or ""), k)
-                t0 = time.perf_counter()
-                chunks = split_stream(stream or "", n)
-                record.split_seconds = time.perf_counter() - t0
-            outputs: List[str] = []
-            for chunk in chunks:
-                t0 = time.perf_counter()
-                outputs.append(stage.command.run(chunk))
-                record.chunk_seconds.append(time.perf_counter() - t0)
-                record.chunk_bytes.append((len(chunk), len(outputs[-1])))
-            if stage.eliminated:
-                chunks = outputs
-                stream = None
-            else:
-                env = EvalEnv(run_command=stage.command.run)
-                t0 = time.perf_counter()
-                stream = (stage.combiner.combine(outputs, env)
-                          if stage.combiner else "".join(outputs))
-                record.combine_seconds = time.perf_counter() - t0
-                chunks = None
-        run.stages.append(record)
+            outputs.append(stage.command.run(chunk))
+            chunk_seconds.append(time.perf_counter() - t0)
+            chunk_bytes.append((len(chunk), len(outputs[-1])))
+        return outputs
 
-    if chunks is not None:
-        stream = "".join(chunks)
-    run.output = stream if stream is not None else ""
+    def observe(_index: int, stage: StagePlan, seen: StageRun) -> None:
+        run.stages.append(SimulatedStage(
+            display=stage.command.display(), mode=stage.mode,
+            eliminated=stage.eliminated,
+            chunk_seconds=chunk_seconds[:] if stage.parallel
+            else [seen.map_seconds],
+            chunk_bytes=chunk_bytes[:],
+            combine_seconds=seen.combine_seconds,
+            split_seconds=seen.split_seconds, workers=k,
+            scheduler=scheduler,
+            task_overhead=task_overhead if scheduler == STEALING else 0.0))
+        chunk_seconds.clear()
+        chunk_bytes.clear()
+
+    run.output = run_materialized(
+        plan, plan.pipeline._initial_stream(data), chunk_count, map_chunks,
+        observe)
     return run
 
 

@@ -4,7 +4,10 @@ Execution offers two data planes — the chunk-pipelined **streaming**
 plane (default; stages overlap via bounded queues of line-aligned
 chunks) and the paper-faithful **barrier** plane (full materialization
 between stages) — over three backends (``serial`` / ``threads`` /
-``processes``).
+``processes``).  The split -> map -> combine contract is written once
+per plane: :func:`repro.parallel.walker.run_materialized` (barrier,
+distributed, cost model) and
+:func:`repro.parallel.streaming.stage_outputs` (every streaming engine).
 """
 
 from .combining import KWayCombiner

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.dsl.semantics import EvalEnv
 from .planner import PipelinePlan, StagePlan
 from .runner import SERIAL, StageRunner
 from .scheduler import (
@@ -40,13 +39,13 @@ from .scheduler import (
     SchedulerStats,
     scheduler_stats_from_dict,
 )
-from .splitter import split_stream
 from .streaming import (
     StageTrace,
-    combine_is_cheap,
     overlap_seconds,
     run_chunk_pipelined,
+    starts_adaptive,
 )
+from .walker import StageRun, run_materialized
 
 #: data planes
 STREAMING = "streaming"
@@ -168,6 +167,15 @@ class RunStats:
     distrib: Optional[DistribStats] = None
     stages: List[StageStats] = field(default_factory=list)
 
+    def record_stage(self, _index: int, stage: StagePlan,
+                     seen: StageRun) -> None:
+        """Materializing-walker observer: append one stage's stats."""
+        self.stages.append(StageStats(
+            display=stage.command.display(), mode=stage.mode,
+            eliminated=stage.eliminated, chunks=seen.chunks,
+            seconds=seen.seconds, bytes_in=seen.bytes_in,
+            bytes_out=seen.bytes_out))
+
     @property
     def total_overlap(self) -> float:
         return sum(s.overlap_seconds for s in self.stages)
@@ -254,9 +262,13 @@ class ParallelPipeline:
         self._runner = runner
         self.last_stats: Optional[RunStats] = None
 
-    def _new_scheduler_stats(self) -> SchedulerStats:
-        return SchedulerStats(name=self.scheduler,
-                              speculate=self.scheduler_config.speculate)
+    def _new_stats(self, data_plane: str) -> RunStats:
+        return RunStats(
+            k=self.k, engine=self.engine, data_plane=data_plane,
+            optimized=self.plan.rewrites > 0, rewrites=self.plan.rewrites,
+            scheduler=SchedulerStats(
+                name=self.scheduler,
+                speculate=self.scheduler_config.speculate))
 
     def run(self, data: Optional[str] = None) -> str:
         """Execute the plan; returns the final output stream."""
@@ -269,7 +281,7 @@ class ParallelPipeline:
     def run_streaming(self, data: Optional[str] = None) -> str:
         """Execute with chunk-pipelined stages (bounded-queue data plane)."""
         initial = self.plan.pipeline._initial_stream(data)
-        sched_stats = self._new_scheduler_stats()
+        stats = self._new_stats(STREAMING)
         start = time.perf_counter()
         output, traces = self._with_runner(
             lambda runner: run_chunk_pipelined(
@@ -278,12 +290,8 @@ class ParallelPipeline:
                 scheduler=self.scheduler,
                 scheduler_config=self.scheduler_config,
                 fault_policy=self.fault_policy,
-                scheduler_stats=sched_stats))
-        stats = RunStats(k=self.k, engine=self.engine, data_plane=STREAMING,
-                         optimized=self.plan.rewrites > 0,
-                         rewrites=self.plan.rewrites,
-                         scheduler=sched_stats,
-                         stages=self._fold_traces(traces))
+                scheduler_stats=stats.scheduler))
+        stats.stages = self._fold_traces(traces)
         stats.seconds = time.perf_counter() - start
         self.last_stats = stats
         return output
@@ -306,37 +314,45 @@ class ParallelPipeline:
 
     def run_barrier(self, data: Optional[str] = None) -> str:
         """Execute stage-by-stage with full materialization between stages."""
-        pipeline = self.plan.pipeline
-        stream: Optional[str] = pipeline._initial_stream(data)
-        chunks: Optional[List[str]] = None
-        sched_stats = self._new_scheduler_stats()
-        stats = RunStats(k=self.k, engine=self.engine, data_plane=BARRIER,
-                         optimized=self.plan.rewrites > 0,
-                         rewrites=self.plan.rewrites,
-                         scheduler=sched_stats)
-        start = time.perf_counter()
+        stages = self.plan.stages
+        stats = self._new_stats(BARRIER)
+        sched_stats = stats.scheduler
+        plain_static = (self.scheduler == STATIC
+                        and self.fault_policy is None
+                        and not self.scheduler_config.speculate)
+
+        def adaptive(index: int) -> bool:
+            return starts_adaptive(stages, index, self.scheduler)
 
         def run_all(runner: StageRunner) -> str:
-            nonlocal stream, chunks
-            for index, stage in enumerate(self.plan.stages):
-                t0 = time.perf_counter()
-                bytes_in = len(stream or "") if chunks is None \
-                    else sum(len(c) for c in chunks)
-                stream, chunks, n_chunks = self._run_stage(
-                    stage, index, runner, stream, chunks, sched_stats)
-                bytes_out = len(stream or "") if chunks is None \
-                    else sum(len(c) for c in chunks)
-                stats.stages.append(StageStats(
-                    display=stage.command.display(), mode=stage.mode,
-                    eliminated=stage.eliminated, chunks=n_chunks,
-                    seconds=time.perf_counter() - t0,
-                    bytes_in=bytes_in, bytes_out=bytes_out))
-            if chunks is not None:
-                # only reachable when the final stage's combiner was
-                # eliminated, which the planner never does; guard anyway
-                stream = "".join(chunks)
-            return stream if stream is not None else ""
+            def map_chunks(stage: StagePlan, index: int,
+                           chunks: List[str]) -> List[str]:
+                if plain_static:
+                    # fast path: no retries/speculation/stealing to
+                    # coordinate, so map the chunks straight onto the
+                    # engine's worker pool
+                    sched_stats.bump("tasks", len(chunks))
+                    return runner.run_stage(stage.command, chunks)
+                chunk_scheduler = ChunkScheduler(
+                    lambda chunk, delay: runner.call_timed(
+                        stage.command, chunk, delay),
+                    stage_index=index,
+                    workers=1 if self.engine == SERIAL else self.k,
+                    config=self.scheduler_config,
+                    fault_policy=self.fault_policy, stats=sched_stats)
+                if adaptive(index):
+                    # the walker handed over the unsplit stream: chunks
+                    # start small and grow toward the per-task latency
+                    # target measured online
+                    return chunk_scheduler.run_stream(chunks[0], self.k)
+                return chunk_scheduler.run_chunks(chunks)
 
+            return run_materialized(
+                self.plan, self.plan.pipeline._initial_stream(data),
+                lambda index, _nbytes: 1 if adaptive(index) else self.k,
+                map_chunks, stats.record_stage)
+
+        start = time.perf_counter()
         output = self._with_runner(run_all)
         stats.seconds = time.perf_counter() - start
         self.last_stats = stats
@@ -352,49 +368,3 @@ class ParallelPipeline:
         finally:
             if owned:
                 runner.close()
-
-    def _run_stage(self, stage: StagePlan, index: int, runner: StageRunner,
-                   stream: Optional[str], chunks: Optional[List[str]],
-                   sched_stats: SchedulerStats):
-        if stage.mode == "sequential":
-            if chunks is not None:
-                stream = "".join(chunks)  # upstream combiner was concat
-                chunks = None
-            return stage.command.run(stream or ""), None, 1
-
-        plain_static = (self.scheduler == STATIC
-                        and self.fault_policy is None
-                        and not self.scheduler_config.speculate)
-        if plain_static:
-            # fast path: no retries/speculation/stealing to coordinate,
-            # so map the chunks straight onto the engine's worker pool
-            if chunks is None:
-                chunks = split_stream(stream or "", self.k)
-            outputs = runner.run_stage(stage.command, chunks)
-            n_chunks = len(chunks)
-            sched_stats.bump("tasks", n_chunks)
-        else:
-            workers = 1 if self.engine == SERIAL else self.k
-            chunk_scheduler = ChunkScheduler(
-                lambda chunk, delay: runner.call_timed(stage.command, chunk,
-                                                       delay),
-                stage_index=index, workers=workers,
-                config=self.scheduler_config,
-                fault_policy=self.fault_policy, stats=sched_stats)
-            if chunks is None and self.scheduler == STEALING \
-                    and combine_is_cheap(self.plan.stages, index):
-                # adaptive decomposition: chunks start small and grow
-                # toward the per-task latency target measured online
-                outputs = chunk_scheduler.run_stream(stream or "", self.k)
-                n_chunks = len(outputs)
-            else:
-                if chunks is None:
-                    chunks = split_stream(stream or "", self.k)
-                outputs = chunk_scheduler.run_chunks(chunks)
-                n_chunks = len(chunks)
-        if stage.eliminated:
-            return None, outputs, n_chunks
-        env = EvalEnv(run_command=stage.command.run)
-        combined = stage.combiner.combine(outputs, env) if stage.combiner \
-            else "".join(outputs)
-        return combined, None, n_chunks

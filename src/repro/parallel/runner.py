@@ -161,8 +161,6 @@ class StageRunner:
         still happens in the engine's worker pool (or inline under
         ``serial``), so the pool keeps bounding total concurrency.
         """
-        if self.engine == SERIAL:
-            return _timed_call(command.run, chunk, delay)
         return self.submit_timed(command, chunk, delay).result()
 
 

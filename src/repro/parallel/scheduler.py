@@ -50,7 +50,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 #: chunk schedulers
 STATIC = "static"
@@ -320,37 +321,51 @@ class AdaptiveSplitter:
         return self.data[start : nl + 1]
 
 
-def attempt_call(call: Callable[[], Tuple[str, float, float]],
-                 stage_index: int, chunk_index: int,
-                 config: SchedulerConfig,
-                 fault_policy: Optional[FaultPolicy],
-                 stats: SchedulerStats,
-                 run_delayed: Optional[
-                     Callable[[float], Tuple[str, float, float]]] = None,
-                 ) -> Tuple[str, float, float]:
-    """Run one chunk with bounded retries (the serial dispatch path).
+def speculation_eta(durations: Sequence[float],
+                    config: SchedulerConfig) -> Optional[float]:
+    """Elapsed seconds past which a running chunk task is a straggler.
 
-    ``call`` performs the timed execution; ``run_delayed`` (when given)
-    performs it with an injected straggler delay.  Retries every
-    failure — injected or genuine — until ``max_attempts`` dispatches
-    are spent, then re-raises the last error.
+    The one speculation rule, local and cross-node: a multiple of the
+    p50 of completed task durations, or ``None`` while too few tasks
+    have completed for the p50 to be trusted.
     """
-    attempt = 0
-    while True:
+    if len(durations) < config.speculation_min_samples:
+        return None
+    return max(config.speculation_factor * statistics.median(durations),
+               config.speculation_min_seconds)
+
+
+def retry_allowed(attempts: int, config: SchedulerConfig,
+                  bump: Callable[[str], None]) -> bool:
+    """Account one failed attempt of a chunk that has begun ``attempts``
+    dispatches; True when the retry budget covers another dispatch."""
+    bump("failures")
+    if attempts >= config.max_attempts:
+        return False
+    bump("retries")
+    return True
+
+
+def open_attempt(fault_policy: Optional[FaultPolicy], stage_index: int,
+                 chunk_index: int, attempts: int, config: SchedulerConfig,
+                 bump: Callable[[str], None],
+                 ) -> Tuple[float, int, Optional[BaseException]]:
+    """Gate a chunk's next dispatch through fault injection.
+
+    Dispatch-time kills are retried on the spot, each one spending an
+    attempt.  Returns ``(delay, attempts, error)``: the injected
+    straggler delay for the dispatch that got through and the attempts
+    spent before it, or the fault that exhausted the budget.
+    """
+    while fault_policy is not None:
         try:
-            delay = 0.0
-            if fault_policy is not None:
-                delay = fault_policy.begin_attempt(stage_index, chunk_index,
-                                                   attempt)
-            if delay > 0.0 and run_delayed is not None:
-                return run_delayed(delay)
-            return call()
-        except Exception:
-            attempt += 1
-            stats.bump("failures")
-            if attempt >= config.max_attempts:
-                raise
-            stats.bump("retries")
+            return (fault_policy.begin_attempt(stage_index, chunk_index,
+                                               attempts), attempts, None)
+        except InjectedFault as exc:
+            attempts += 1
+            if not retry_allowed(attempts, config, bump):
+                return 0.0, attempts, exc
+    return 0.0, attempts, None
 
 
 class ChunkScheduler:
@@ -362,7 +377,8 @@ class ChunkScheduler:
     :class:`~repro.parallel.runner.StageRunner`, so the engine's worker
     pool still bounds total compute concurrency).  Results are keyed by
     chunk index; :meth:`run_chunks`/:meth:`run_stream` return them in
-    input order regardless of completion order.
+    input order regardless of completion order, and :meth:`iter_stream`
+    yields them in that order as the completed prefix grows.
     """
 
     def __init__(self, run_chunk: Callable[[str, float],
@@ -395,6 +411,7 @@ class ChunkScheduler:
         self._produced = 0
         self._emitted = 0
         self._error: Optional[BaseException] = None
+        self._closed = False
 
     # -- public entry points -------------------------------------------------
 
@@ -404,12 +421,16 @@ class ChunkScheduler:
             self._deques[i % self.workers].append(self._task(i, chunk))
         self._produced = len(chunks)
         self._splitter = None
-        return self._run()
+        return list(self._run())
 
     def run_stream(self, data: str, k: int) -> List[str]:
+        """:meth:`iter_stream`, materialized."""
+        return list(self.iter_stream(data, k))
+
+    def iter_stream(self, data: str, k: int) -> Iterator[str]:
         """Adaptively carve ``data`` into tasks while scheduling them.
 
-        Returns the per-chunk outputs in stream order; the chosen
+        Yields the per-chunk outputs in stream order; the chosen
         decomposition concatenates back to ``data``, so any combiner
         legal for the static split is legal here too.
         """
@@ -448,18 +469,11 @@ class ChunkScheduler:
         produced_all = self._splitter is None or self._splitter.exhausted
         return produced_all and len(self._results) >= self._produced
 
-    def _eta(self) -> Optional[float]:
-        if len(self._durations) < self.config.speculation_min_samples:
-            return None
-        p50 = statistics.median(self._durations)
-        return max(self.config.speculation_factor * p50,
-                   self.config.speculation_min_seconds)
-
     def _next_task(self, w: int):
         """Block until a task is available for worker ``w`` (or all done)."""
         with self._cond:
             while True:
-                if self._error is not None or self._done:
+                if self._error is not None or self._done or self._closed:
                     self._cond.notify_all()
                     return None
                 own = self._deques[w]
@@ -484,7 +498,7 @@ class ChunkScheduler:
         """A speculative duplicate of the most overdue running task."""
         if not self.config.speculate or self.workers < 2:
             return None
-        eta = self._eta()
+        eta = speculation_eta(self._durations, self.config)
         if eta is None:
             return None
         now = time.perf_counter()
@@ -519,14 +533,14 @@ class ChunkScheduler:
                     self.stage_index, idx, attempt)
             out, t0, t1 = self.run_chunk(chunk, delay)
         except Exception as exc:
-            self.stats.bump("failures")
             with self._cond:
                 self._inflight[idx] -= 1
                 if idx in self._results:
+                    self.stats.bump("failures")
                     self._cond.notify_all()
                     return  # a concurrent attempt won; failure is moot
-                if self._attempts.get(idx, 0) < self.config.max_attempts:
-                    self.stats.bump("retries")
+                if retry_allowed(self._attempts[idx], self.config,
+                                 self.stats.bump):
                     self._deques[w].append(self._task(idx, chunk))
                 elif self._inflight[idx] <= 0:
                     # no attempt left that could still resolve the chunk
@@ -570,42 +584,46 @@ class ChunkScheduler:
             self._emitted += 1
         return out
 
-    def _run(self) -> List[str]:
+    def _run(self) -> Iterator[str]:
+        """Drive the workers; yield outputs in index order as they land."""
         if self.workers == 1:
             self._worker(0)
-            if self._error is None and self.on_result is not None:
-                for pair in self._pending_emits():
-                    self.on_result(*pair)
         else:
-            threads = [threading.Thread(target=self._worker, args=(w,),
-                                        name=f"repro-steal-{w}", daemon=True)
-                       for w in range(self.workers)]
-            for t in threads:
-                t.start()
-            # wait for *results*, not workers: when a speculative
-            # duplicate wins, the superseded original may still be
-            # executing — its result is discarded on arrival and its
-            # worker exits on the next task poll, so joining it would
-            # forfeit exactly the latency speculation recovered.
-            # on_result emission happens HERE, in the single calling
-            # thread: workers emitting directly could interleave out of
-            # order or leave chunks unemitted at return, and a blocking
-            # sink (bounded queue) must not stall a compute worker.
+            for w in range(self.workers):
+                threading.Thread(target=self._worker, args=(w,),
+                                 name=f"repro-steal-{w}",
+                                 daemon=True).start()
+        # wait for *results*, not workers: when a speculative duplicate
+        # wins, the superseded original may still be executing — its
+        # result is discarded on arrival and its worker exits on the
+        # next task poll, so joining it would forfeit exactly the
+        # latency speculation recovered.  Emission happens HERE, in the
+        # single consuming thread: workers emitting directly could
+        # interleave out of order, and a blocking consumer (bounded
+        # queue) must not stall a compute worker.
+        try:
             while True:
                 with self._cond:
-                    emits = self._pending_emits() \
-                        if self.on_result is not None else []
+                    emits = self._pending_emits()
                     if not emits:
                         if self._done or self._error is not None:
                             break
                         self._cond.wait(timeout=0.05)
                         continue
-                for pair in emits:
-                    self.on_result(*pair)
+                for idx, out in emits:
+                    if self.on_result is not None:
+                        self.on_result(idx, out)
+                    yield out
+        finally:
+            # nobody consumes further results — also when the consumer
+            # stopped early (downstream early exit, an error elsewhere):
+            # idle the workers
+            with self._cond:
+                self._closed = True
+                self._cond.notify_all()
         self.stats.bump("tasks", self._produced)
         if self._error is not None:
             raise self._error
-        return [self._results[i] for i in range(self._produced)]
 
 
 class TaskSet:
@@ -638,42 +656,29 @@ class TaskSet:
         """Dispatch one chunk; returns an opaque entry for :meth:`result`."""
         self.stats.bump("tasks")
         future, attempt = self._dispatch(index, chunk, 0)
-        return [index, chunk, attempt, future, None, time.perf_counter()]
+        return (index, chunk, attempt, future, time.perf_counter())
 
     def _dispatch(self, index: int, chunk: str, attempt: int):
         """One attempt, retrying kill-faults raised before dispatch."""
-        while True:
-            try:
-                delay = 0.0
-                if self.fault_policy is not None:
-                    delay = self.fault_policy.begin_attempt(
-                        self.stage_index, index, attempt)
-                return self._submit(chunk, delay), attempt + 1
-            except Exception:
-                attempt += 1
-                self.stats.bump("failures")
-                if attempt >= self.config.max_attempts:
-                    raise
-                self.stats.bump("retries")
-
-    def _eta(self) -> Optional[float]:
-        if len(self._durations) < self.config.speculation_min_samples:
-            return None
-        p50 = statistics.median(self._durations)
-        return max(self.config.speculation_factor * p50,
-                   self.config.speculation_min_seconds)
+        delay, attempt, error = open_attempt(
+            self.fault_policy, self.stage_index, index, attempt,
+            self.config, self.stats.bump)
+        if error is not None:
+            raise error
+        return self._submit(chunk, delay), attempt + 1
 
     def result(self, entry) -> Tuple[str, float, float]:
         """Block for one entry's output, retrying and speculating."""
         import concurrent.futures as cf
 
-        index, chunk, attempts, future, spec, submitted = entry
+        index, chunk, attempts, future, submitted = entry
+        spec = None   # the one speculative duplicate, once launched
         while True:
             waiting = {f for f in (future, spec) if f is not None}
-            eta = self._eta() if (self.config.speculate and self.concurrent
-                                  and spec is None
-                                  and attempts < self.config.max_attempts) \
-                else None
+            eta = speculation_eta(self._durations, self.config) \
+                if (self.config.speculate and self.concurrent
+                    and spec is None
+                    and attempts < self.config.max_attempts) else None
             timeout = None
             if eta is not None:
                 timeout = max(0.0, eta - (time.perf_counter() - submitted))
@@ -683,34 +688,26 @@ class TaskSet:
                 # head-of-line straggler: launch the one duplicate
                 self.stats.bump("speculations")
                 spec, attempts = self._dispatch(index, chunk, attempts)
-                entry[2], entry[4] = attempts, spec
                 continue
             winner = done.pop()
             try:
                 out, t0, t1 = winner.result()
             except Exception:
-                self.stats.bump("failures")
-                still_running = (spec if winner is future else future) \
-                    if winner in (future, spec) and spec is not None else None
-                if still_running is not None:
+                if spec is not None:
                     # the other attempt may still succeed
+                    self.stats.bump("failures")
                     if winner is future:
-                        future, spec = spec, None
-                    else:
-                        spec = None
-                    entry[3], entry[4] = future, spec
+                        future = spec
+                    spec = None
                     continue
-                if attempts >= self.config.max_attempts:
+                if not retry_allowed(attempts, self.config,
+                                     self.stats.bump):
                     raise
-                self.stats.bump("retries")
                 future, attempts = self._dispatch(index, chunk, attempts)
-                spec = None
                 # the retry's speculation clock starts now — judging it
                 # against the failed attempt's submit time would trigger
                 # an instant (wasted) duplicate
                 submitted = time.perf_counter()
-                entry[2], entry[3], entry[4] = attempts, future, spec
-                entry[5] = submitted
                 continue
             self._durations.append(t1 - t0)
             if spec is not None and winner is spec:

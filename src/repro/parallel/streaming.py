@@ -34,14 +34,15 @@ byte-identical: synthesized combiners are insensitive to line-aligned
 chunk boundaries — the same property the barrier engine relies on when
 ``k`` varies.
 
-Engines:
+Engines — every one runs the same per-stage generator,
+:func:`stage_outputs`:
 
 * ``serial`` — pure generator chaining (a chunk-pipelined pull model:
   no threads, deterministic, zero measured overlap);
-* ``threads`` / ``processes`` — one pump thread per stage connected by
-  bounded :class:`queue.Queue` links; chunk work is dispatched to the
-  shared worker pool, so total compute concurrency stays bounded by
-  ``k`` across the whole pipeline.
+* ``threads`` / ``processes`` — each stage's generator runs in a pump
+  thread, connected by bounded :class:`queue.Queue` links; chunk work
+  is dispatched to the shared worker pool, so total compute concurrency
+  stays bounded by ``k`` across the whole pipeline.
 
 Accounting: every command invocation and combine application is
 recorded as a busy interval; :attr:`StageStats.overlap_seconds` is the
@@ -55,13 +56,13 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-from ..core.dsl.semantics import EvalEnv
 from ..unixsim.head_tail import Head
 from ..unixsim.sed_cmd import SedQuit
 from .planner import PipelinePlan, StagePlan
-from .runner import SERIAL, StageRunner, _timed_call
+from .runner import SERIAL, StageRunner
 from .scheduler import (
     ChunkScheduler,
     FaultPolicy,
@@ -70,9 +71,9 @@ from .scheduler import (
     SchedulerConfig,
     SchedulerStats,
     TaskSet,
-    attempt_call,
 )
 from .splitter import split_stream
+from .walker import combine_outputs, input_is_chunked
 
 #: chunks buffered between two pump threads before the producer blocks
 DEFAULT_QUEUE_DEPTH = 8
@@ -240,126 +241,81 @@ def overlap_seconds(a: Sequence[Tuple[float, float]],
 
 
 # ---------------------------------------------------------------------------
-# shared stage semantics
+# the chunk-pipelined stage definition (shared by every engine)
+
+ChunkCount = Callable[[int, int], int]
+ChunkMapper = Callable[[StagePlan, int, Iterator[str]], Iterator[str]]
 
 
-def input_is_chunked(stages: Sequence[StagePlan], index: int) -> bool:
-    """True iff stage ``index`` receives the upstream chunk decomposition.
+def starts_adaptive(stages: Sequence[StagePlan], index: int,
+                    scheduler: str) -> bool:
+    """Does stage ``index`` start a work-stealing decomposition?
 
-    Mirrors the barrier engine: chunks survive a stage boundary only
-    when the upstream parallel stage's combiner was eliminated.
+    Only a stage that receives an unsplit stream owns a whole chunk-task
+    pool to carve adaptively, and only where the consumer of that
+    decomposition combines cheaply (see :func:`combine_is_cheap`).
     """
-    if index == 0:
-        return False
-    prev = stages[index - 1]
-    return prev.parallel and prev.eliminated
+    return (scheduler == STEALING and not input_is_chunked(stages, index)
+            and combine_is_cheap(stages, index))
 
 
-class _SchedulerContext:
-    """Per-run scheduling state shared by every stage's pump."""
+def stage_outputs(stages: Sequence[StagePlan], index: int,
+                  trace: StageTrace, upstream: Iterator[str],
+                  chunk_count: ChunkCount,
+                  map_chunks: ChunkMapper) -> Iterator[str]:
+    """One stage as a generator from its input chunks to its output chunks.
 
-    __slots__ = ("scheduler", "config", "fault_policy", "stats")
-
-    def __init__(self, scheduler: str = STATIC,
-                 config: Optional[SchedulerConfig] = None,
-                 fault_policy: Optional[FaultPolicy] = None,
-                 stats: Optional[SchedulerStats] = None) -> None:
-        self.scheduler = scheduler
-        self.config = config or SchedulerConfig()
-        self.fault_policy = fault_policy
-        self.stats = stats if stats is not None else SchedulerStats()
-
-
-def _combine(stage: StagePlan, outputs: List[str]) -> str:
-    env = EvalEnv(run_command=stage.command.run)
-    if stage.combiner is not None:
-        return stage.combiner.combine(outputs, env)
-    return "".join(outputs)
-
-
-# ---------------------------------------------------------------------------
-# serial engine: generator chaining (pull-model chunk pipelining)
-
-
-def _serial_stage(stages: Sequence[StagePlan], index: int, trace: StageTrace,
-                  upstream: Iterator[str], chunked: bool,
-                  k: int, ctx: _SchedulerContext) -> Tuple[Iterator[str], bool]:
+    The streaming counterpart of :func:`repro.parallel.walker.
+    run_materialized`'s loop body, with the same decisions at the same
+    stage boundaries.  ``map_chunks(stage, index, chunks)`` lazily maps
+    the stage command over an iterator of chunks, yielding outputs in
+    chunk order; ``upstream.close()`` tells whatever produces the input
+    that no more of it is needed.
+    """
     stage = stages[index]
     limit = None if stage.eliminated else prefix_limit(stage.command)
-    if limit is not None:
-        def early() -> Iterator[str]:
-            # pull chunks only until the prefix is complete; in the
-            # generator pull model, not pulling *is* the cancellation —
-            # upstream stages never compute the rest of the stream
+    if limit is not None or stage.mode == "sequential":
+        if limit is not None:
+            # early exit: pull chunks only until the prefix the command
+            # depends on is complete, then cancel upstream production
+            # (a no-op when the stream already ended naturally)
             data = _gather_prefix(upstream, limit, trace)
-            t0 = time.perf_counter()
-            out = stage.command.run(data)
-            trace.record(t0, time.perf_counter())
-            trace.bytes_out += len(out)
-            yield out
-        return early(), False
-
-    if stage.mode == "sequential":
-        def sequential() -> Iterator[str]:
+            upstream.close()
+        else:
             data = "".join(upstream)
             trace.bytes_in += len(data)
             trace.chunks += 1
-            t0 = time.perf_counter()
-            out = stage.command.run(data)
-            trace.record(t0, time.perf_counter())
-            trace.bytes_out += len(out)
-            yield out
-        return sequential(), False
+        t0 = time.perf_counter()
+        out = stage.command.run(data)
+        trace.record(t0, time.perf_counter())
+        trace.bytes_out += len(out)
+        yield out
+        return
 
     def incoming() -> Iterator[str]:
-        if chunked:
-            yield from upstream
+        if input_is_chunked(stages, index):
+            chunks: Iterable[str] = upstream
         else:
             data = "".join(upstream)
-            yield from split_stream(
-                data, split_count(stages, index, k, len(data)))
-
-    def mapped() -> Iterator[str]:
-        # the serial engine has one thread of control, so stealing and
-        # speculation degenerate; the fault-tolerance layer (injection
-        # + bounded per-chunk retry) still applies to every chunk task
-        for ci, chunk in enumerate(incoming()):
+            chunks = split_stream(data, chunk_count(index, len(data)))
+        for chunk in chunks:
             trace.bytes_in += len(chunk)
-            trace.chunks += 1
-            ctx.stats.bump("tasks")
-            out, t0, t1 = attempt_call(
-                lambda c=chunk: _timed_call(stage.command.run, c),
-                index, ci, ctx.config, ctx.fault_policy, ctx.stats,
-                run_delayed=lambda d, c=chunk: _timed_call(
-                    stage.command.run, c, d))
-            trace.record(t0, t1)
-            yield out
+            yield chunk
 
+    outputs = map_chunks(stage, index, incoming())
     if stage.eliminated:
-        def passthrough() -> Iterator[str]:
-            for out in mapped():
-                trace.bytes_out += len(out)
-                yield out
-        return passthrough(), True
-
-    def sink() -> Iterator[str]:
-        outputs = list(mapped())
-        t0 = time.perf_counter()
-        combined = _combine(stage, outputs)
-        trace.record(t0, time.perf_counter())
-        trace.bytes_out += len(combined)
-        yield combined
-    return sink(), False
-
-
-def _run_serial(plan: PipelinePlan, k: int, traces: List[StageTrace],
-                initial: str, ctx: _SchedulerContext) -> str:
-    current: Iterator[str] = iter((initial,))
-    chunked = False
-    for index, trace in enumerate(traces):
-        current, chunked = _serial_stage(plan.stages, index, trace,
-                                         current, chunked, k, ctx)
-    return "".join(current)
+        for out in outputs:
+            trace.chunks += 1
+            trace.bytes_out += len(out)
+            yield out
+        return
+    gathered = list(outputs)
+    trace.chunks += len(gathered)
+    t0 = time.perf_counter()
+    combined = combine_outputs(stage, gathered)
+    trace.record(t0, time.perf_counter())
+    trace.bytes_out += len(combined)
+    yield combined
 
 
 # ---------------------------------------------------------------------------
@@ -367,198 +323,93 @@ def _run_serial(plan: PipelinePlan, k: int, traces: List[StageTrace],
 
 
 class _Link:
-    """A bounded chunk queue plus a consumer-side cancellation flag.
+    """A bounded chunk queue between two stages' pump threads.
 
-    A downstream stage that early-exits (:func:`prefix_limit`) sets
-    ``cancelled``; the producer's next :func:`_put` raises
+    The producer calls :meth:`put`; the consumer iterates.  A consumer that
+    needs no more input (early exit, :func:`prefix_limit`) calls
+    :meth:`close`; the producer's next :meth:`put` then raises
     :class:`_Cancelled`, which cascades the cancellation upstream
     instead of letting producers block on a queue nobody drains.
     """
 
-    __slots__ = ("q", "cancelled")
+    __slots__ = ("q", "cancelled", "abort")
 
-    def __init__(self, depth: int) -> None:
+    def __init__(self, depth: int, abort: threading.Event) -> None:
         self.q: "queue.Queue" = queue.Queue(maxsize=depth)
         self.cancelled = threading.Event()
+        self.abort = abort
+
+    def put(self, item: object) -> None:
+        while True:
+            if self.abort.is_set():
+                raise _Abort()
+            if self.cancelled.is_set():
+                raise _Cancelled()
+            try:
+                self.q.put(item, timeout=0.05)
+                return
+            except queue.Full:
+                continue
+
+    def __iter__(self) -> "_Link":
+        return self
+
+    def __next__(self) -> str:
+        while True:
+            if self.abort.is_set():
+                raise _Abort()
+            try:
+                item = self.q.get(timeout=0.05)
+            except queue.Empty:
+                continue
+            if item is _DONE:
+                raise StopIteration
+            return item
+
+    def close(self) -> None:
+        self.cancelled.set()
 
 
-def _put(link: _Link, item: object, abort: threading.Event) -> None:
-    while True:
-        if abort.is_set():
-            raise _Abort()
-        if link.cancelled.is_set():
-            raise _Cancelled()
-        try:
-            link.q.put(item, timeout=0.05)
-            return
-        except queue.Full:
-            continue
-
-
-def _iter_queue(link: _Link,
-                abort: threading.Event) -> Iterator[str]:
-    while True:
-        if abort.is_set():
-            raise _Abort()
-        try:
-            item = link.q.get(timeout=0.05)
-        except queue.Empty:
-            continue
-        if item is _DONE:
-            return
-        yield item
-
-
-def _pump(stages: Sequence[StagePlan], index: int, trace: StageTrace,
-          in_q: _Link, out_q: _Link, chunked_in: bool,
-          k: int, runner: StageRunner, abort: threading.Event,
-          errors: List[BaseException], ctx: _SchedulerContext) -> None:
-    stage = stages[index]
-    limit = None if stage.eliminated else prefix_limit(stage.command)
+def _pump(outputs: Iterator[str], in_q: _Link, out_q: _Link,
+          errors: List[BaseException]) -> None:
+    """Run one stage's generator, forwarding its chunks downstream."""
     try:
-        if limit is not None:
-            # early exit: stop consuming once the prefix the command
-            # depends on is complete, then cancel upstream production
-            # (a no-op when the stream already ended naturally)
-            data = _gather_prefix(_iter_queue(in_q, abort), limit, trace)
-            in_q.cancelled.set()
-            t0 = time.perf_counter()
-            out = stage.command.run(data)
-            trace.record(t0, time.perf_counter())
-            trace.bytes_out += len(out)
-            _put(out_q, out, abort)
-            _put(out_q, _DONE, abort)
-            return
-
-        if stage.mode == "sequential":
-            data = "".join(_iter_queue(in_q, abort))
-            trace.bytes_in += len(data)
-            trace.chunks += 1
-            t0 = time.perf_counter()
-            out = stage.command.run(data)
-            trace.record(t0, time.perf_counter())
-            trace.bytes_out += len(out)
-            _put(out_q, out, abort)
-            _put(out_q, _DONE, abort)
-            return
-
-        if ctx.scheduler == STEALING and not chunked_in \
-                and combine_is_cheap(stages, index):
-            # work-stealing path: this stage starts a decomposition, so
-            # the whole chunk-task pool exists here — gather the input,
-            # carve it adaptively, and let idle workers steal.  Output
-            # chunks are released downstream in index order as the
-            # completed prefix grows, preserving chunk pipelining.
-            data = "".join(_iter_queue(in_q, abort))
-            trace.bytes_in += len(data)
-
-            def emit(_idx: int, out: str) -> None:
-                trace.bytes_out += len(out)
-                _put(out_q, out, abort)
-
-            chunk_scheduler = ChunkScheduler(
-                lambda chunk, delay: runner.call_timed(stage.command,
-                                                       chunk, delay),
-                stage_index=index, workers=max(1, k), config=ctx.config,
-                fault_policy=ctx.fault_policy, stats=ctx.stats,
-                on_result=emit if stage.eliminated else None)
-            outputs = chunk_scheduler.run_stream(data, k)
-            trace.chunks += len(outputs)
-            trace.intervals.extend(chunk_scheduler.intervals)
-            if not stage.eliminated:
-                t0 = time.perf_counter()
-                combined = _combine(stage, outputs)
-                trace.record(t0, time.perf_counter())
-                trace.bytes_out += len(combined)
-                _put(out_q, combined, abort)
-            _put(out_q, _DONE, abort)
-            return
-
-        def incoming() -> Iterator[str]:
-            if chunked_in:
-                yield from _iter_queue(in_q, abort)
-            else:
-                data = "".join(_iter_queue(in_q, abort))
-                yield from split_stream(
-                    data, split_count(stages, index, k, len(data)))
-
-        sink_outputs: Optional[List[str]] = \
-            None if stage.eliminated else []
-        pending: deque = deque()
-        tasks = TaskSet(
-            lambda chunk, delay: runner.submit_timed(stage.command, chunk,
-                                                     delay),
-            stage_index=index, config=ctx.config,
-            fault_policy=ctx.fault_policy, stats=ctx.stats,
-            concurrent=runner.engine != SERIAL)
-
-        def drain_one() -> None:
-            out, t0, t1 = tasks.result(pending.popleft())
-            trace.record(t0, t1)
-            if sink_outputs is None:
-                trace.bytes_out += len(out)
-                _put(out_q, out, abort)
-            else:
-                sink_outputs.append(out)
-
-        for ci, chunk in enumerate(incoming()):
-            trace.bytes_in += len(chunk)
-            trace.chunks += 1
-            pending.append(tasks.submit(ci, chunk))
-            # drain in submission order so the downstream stage sees the
-            # barrier engine's chunk sequence: eagerly when the head is
-            # already done, forcibly to keep at most k chunks in flight
-            while pending and (pending[0][3].done()
-                               or len(pending) >= max(1, k)):
-                drain_one()
-        while pending:
-            drain_one()
-
-        if sink_outputs is not None:
-            t0 = time.perf_counter()
-            combined = _combine(stage, sink_outputs)
-            trace.record(t0, time.perf_counter())
-            trace.bytes_out += len(combined)
-            _put(out_q, combined, abort)
-        _put(out_q, _DONE, abort)
+        for out in outputs:
+            out_q.put(out)
+        out_q.put(_DONE)
     except _Abort:
         pass
     except _Cancelled:
         # downstream early-exited: stop producing and cascade the
         # cancellation so our own upstream unwinds too
-        in_q.cancelled.set()
+        in_q.close()
     except BaseException as exc:  # noqa: BLE001 - ferried to the caller
         errors.append(exc)
-        abort.set()
+        in_q.abort.set()
 
 
-def _run_threaded(plan: PipelinePlan, k: int, traces: List[StageTrace],
-                  runner: StageRunner, initial: str,
-                  queue_depth: int, ctx: _SchedulerContext) -> str:
-    stages = plan.stages
-    depth = queue_depth
-    links = [_Link(depth) for _ in range(len(stages) + 1)]
+def _run_threaded(stage_chain: Callable[[int, Iterator[str]], Iterator[str]],
+                  n_stages: int, initial: str, queue_depth: int) -> str:
     abort = threading.Event()
+    links = [_Link(queue_depth, abort) for _ in range(n_stages + 1)]
     errors: List[BaseException] = []
     pumps = [
         threading.Thread(
             target=_pump,
-            args=(stages, i, traces[i], links[i], links[i + 1],
-                  input_is_chunked(stages, i), k, runner, abort, errors,
-                  ctx),
+            args=(stage_chain(i, links[i]), links[i], links[i + 1], errors),
             name=f"repro-stage-{i}", daemon=True)
-        for i in range(len(stages))
+        for i in range(n_stages)
     ]
     for pump in pumps:
         pump.start()
     parts: List[str] = []
     try:
         try:
-            _put(links[0], initial, abort)
-            _put(links[0], _DONE, abort)
+            links[0].put(initial)
+            links[0].put(_DONE)
         except _Cancelled:
             pass  # stage 0 early-exited before draining the source
-        parts = list(_iter_queue(links[-1], abort))
+        parts = list(links[-1])
     except _Abort:
         pass
     finally:
@@ -599,20 +450,91 @@ def run_chunk_pipelined(
     (``fault_policy`` injection, bounded retry, speculation per
     ``scheduler_config``) applies to every parallel chunk task under
     both schedulers, and its counters land in ``scheduler_stats``.
+
+    Every engine runs the same :func:`stage_outputs` generators: the
+    ``serial`` engine chains them (a pull model — a stage that stops
+    pulling *is* the cancellation, upstream never computes the rest);
+    ``threads``/``processes`` run each inside a pump thread between
+    bounded queues.  They differ only in the mapper.
     """
     if queue_depth is None:
         queue_depth = DEFAULT_QUEUE_DEPTH
     if queue_depth < 1:
         raise ValueError(f"queue_depth must be positive, got {queue_depth}")
-    ctx = _SchedulerContext(scheduler=scheduler, config=scheduler_config,
-                            fault_policy=fault_policy,
-                            stats=scheduler_stats)
-    traces = [StageTrace() for _ in plan.stages]
-    if not plan.stages:
+    config = scheduler_config or SchedulerConfig()
+    stats = scheduler_stats if scheduler_stats is not None \
+        else SchedulerStats()
+    stages = plan.stages
+    traces = [StageTrace() for _ in stages]
+    serial = runner.engine == SERIAL
+
+    def adaptive(index: int) -> bool:
+        # one thread of control has nothing to steal from
+        return not serial and starts_adaptive(stages, index, scheduler)
+
+    def chunk_count(index: int, nbytes: int) -> int:
+        # an adaptive stage is handed its stream whole and carves it
+        return 1 if adaptive(index) else split_count(stages, index, k,
+                                                     nbytes)
+
+    def in_order(stage: StagePlan, index: int,
+                 chunks: Iterator[str]) -> Iterator[str]:
+        """Windowed dispatch: up to ``k`` chunks in flight, outputs in
+        submission order.  Under ``serial`` every future arrives
+        completed, so this is the inline loop with bounded retry."""
+        trace = traces[index]
+        tasks = TaskSet(
+            lambda chunk, delay: runner.submit_timed(stage.command, chunk,
+                                                     delay),
+            stage_index=index, config=config, fault_policy=fault_policy,
+            stats=stats, concurrent=not serial)
+        pending: deque = deque()
+
+        def drain_one() -> str:
+            out, t0, t1 = tasks.result(pending.popleft())
+            trace.record(t0, t1)
+            return out
+
+        for ci, chunk in enumerate(chunks):
+            pending.append(tasks.submit(ci, chunk))
+            # drain in submission order so the downstream stage sees the
+            # barrier engine's chunk sequence: eagerly when the head is
+            # already done, forcibly to keep at most k chunks in flight
+            while pending and (pending[0][3].done()
+                               or len(pending) >= max(1, k)):
+                yield drain_one()
+        while pending:
+            yield drain_one()
+
+    def stealing(stage: StagePlan, index: int,
+                 chunks: Iterator[str]) -> Iterator[str]:
+        """Work stealing: the whole chunk-task pool exists here, so
+        carve the stream adaptively and let idle workers steal; outputs
+        are released in index order as the completed prefix grows,
+        preserving chunk pipelining."""
+        chunk_scheduler = ChunkScheduler(
+            lambda chunk, delay: runner.call_timed(stage.command, chunk,
+                                                   delay),
+            stage_index=index, workers=max(1, k), config=config,
+            fault_policy=fault_policy, stats=stats)
+        yield from chunk_scheduler.iter_stream("".join(chunks), k)
+        traces[index].intervals.extend(chunk_scheduler.intervals)
+
+    def map_chunks(stage: StagePlan, index: int,
+                   chunks: Iterator[str]) -> Iterator[str]:
+        mapper = stealing if adaptive(index) else in_order
+        return mapper(stage, index, chunks)
+
+    def stage_chain(index: int, upstream: Iterator[str]) -> Iterator[str]:
+        return stage_outputs(stages, index, traces[index], upstream,
+                             chunk_count, map_chunks)
+
+    if not stages:
         return initial, traces
-    if runner.engine == SERIAL:
-        output = _run_serial(plan, k, traces, initial, ctx)
-    else:
-        output = _run_threaded(plan, k, traces, runner, initial,
-                               queue_depth, ctx)
-    return output, traces
+    if serial:
+        current: Iterator[str] = (chunk for chunk in (initial,))
+        for index in range(len(stages)):
+            current = stage_chain(index, current)
+        return "".join(current), traces
+    return _run_threaded(stage_chain, len(stages), initial,
+                         queue_depth), traces

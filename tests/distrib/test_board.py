@@ -115,6 +115,28 @@ def test_dead_node_leases_are_reassigned_without_burning_attempts():
     assert stats.evictions == 1
 
 
+def test_reassignment_gives_the_lost_attempt_back():
+    """A chunk whose first node died still gets its full retry budget:
+    exactly ``max_attempts`` error completions before the stage fails."""
+    pool = NodePool(heartbeat_timeout=0.05)
+    _, board = _board(pool, max_attempts=3)
+    doomed = pool.register(capacity=1)
+    handle, stats = _submit(board, ["x"])
+    assert len(board.pull(doomed.node_id)) == 1
+    time.sleep(0.1)                     # let the heartbeat expire
+    survivor = pool.register(capacity=1)
+    board.tick()                        # evicts doomed, requeues the lease
+    assert board.stats()["reassignments"] == 1
+    for attempt in range(3):
+        assert not handle.done
+        (wire,) = board.pull(survivor.node_id)
+        assert wire["attempt"] == attempt
+        board.complete(survivor.node_id, wire["task_id"], error="boom")
+    assert (stats.failures, stats.retries) == (3, 2)
+    with pytest.raises(DistribError, match="exhausted 3 attempts"):
+        handle.wait(timeout=5.0)
+
+
 def test_late_duplicate_completion_loses_the_race():
     pool = NodePool(heartbeat_timeout=0.05)
     _, board = _board(pool)

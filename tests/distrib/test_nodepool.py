@@ -52,7 +52,7 @@ def test_evict_stale_marks_silent_nodes_dead():
     pool = NodePool(heartbeat_timeout=5.0)
     quiet = pool.register()
     chatty = pool.register()
-    future = time.time() + 6.0
+    future = time.monotonic() + 6.0
     chatty.last_seen = future            # kept heartbeating
     dead = pool.evict_stale(now=future)
     assert [n.node_id for n in dead] == [quiet.node_id]

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from repro.distrib import (
+    ExecutorAgent,
+    LocalTransport,
+    NodePool,
     PlanRegistry,
+    TaskBoard,
     entry_digest,
     entry_to_plan,
     plan_to_entry,
@@ -66,3 +70,46 @@ def test_registry_counts_replication_fetches(pp):
     assert registry.fetches(digest) == 2
     assert registry.fetches() == 2
     assert registry.stats() == {"plans": 1, "replications": 2}
+
+
+def _register_variant(registry, pp, i):
+    """Entry ``i`` of one plan: same pipeline, fresh input files."""
+    context = pp.plan.pipeline.context
+    return registry.register(pp.plan, {**context.fs, "fresh": str(i)},
+                             context.env)
+
+
+def test_registry_retains_a_bounded_lru(pp, monkeypatch):
+    monkeypatch.setattr("repro.distrib.plans.MAX_RETAINED_PLANS", 2)
+    registry = PlanRegistry()
+    first = _register_variant(registry, pp, 1)
+    second = _register_variant(registry, pp, 2)
+    assert registry.entry(first) is not None     # a fetch is a use
+    third = _register_variant(registry, pp, 3)
+    assert len(registry) == 2
+    assert registry.entry(second) is None        # least recently used
+    assert registry.entry(first) is not None
+    assert registry.entry(third) is not None
+    # the total outlives the entries it counted
+    assert registry.stats() == {"plans": 2, "replications": 3}
+    assert registry.fetches(second) == 0
+
+
+def test_executor_plan_cache_evicts_and_refetches_by_digest(pp, monkeypatch):
+    monkeypatch.setattr("repro.distrib.executor.MAX_RETAINED_PLANS", 2)
+    pool = NodePool()
+    registry = PlanRegistry()
+    agent = ExecutorAgent(LocalTransport(pool, TaskBoard(pool), registry))
+    first, second, third = (_register_variant(registry, pp, i)
+                            for i in (1, 2, 3))
+    for digest in (first, second, first):
+        assert agent._plan(digest).pipeline.render() \
+            == pp.plan.pipeline.render()
+    assert agent.plans_fetched == 2              # the repeat was a hit
+    agent._plan(third)                           # evicts second, not first
+    assert agent.plans_fetched == 3
+    agent._plan(first)
+    assert agent.plans_fetched == 3
+    agent._plan(second)                          # miss: refetched
+    assert agent.plans_fetched == 4
+    assert registry.fetches(second) == 2

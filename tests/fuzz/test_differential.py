@@ -3,7 +3,9 @@
 Each random pipeline runs over each random input through the serial
 reference (plain in-order command execution) and a matrix of parallel
 backends — barrier/streaming x static/stealing x serial/threads
-engines, with speculation enabled on the threaded stealing run.  Any
+engines (speculation enabled on the threaded stealing run), the
+process-pool streaming engine the measured benchmark runs, the
+two-node cluster, and the cost model's measured simulation.  Any
 byte difference is a bug somewhere in splitting, scheduling,
 combining, or reassembly; the failing (seed, pipeline, input) triple
 is written to ``fuzz-failures/`` for the CI artifact upload.
@@ -23,6 +25,7 @@ from repro import parallelize
 from repro.core.synthesis import SynthesisConfig
 from repro.distrib import LocalCluster
 from repro.evaluation.benchsuite import StageRecorder
+from repro.evaluation.costmodel import simulate_plan
 from repro.parallel import STATIC, STEALING, SchedulerConfig
 
 from .pipegen import corpus
@@ -31,16 +34,20 @@ from .pipegen import corpus
 #: has a fixed command pool, so this stays small)
 _SYNTH_CACHE: Dict = {}
 
-#: (name, streaming, engine, scheduler, speculate); threaded backends
-#: (and the multi-node ``distrib`` engine, which runs executor threads)
-#: are exercised on a rotating subset of cases to bound tier-1 runtime
+#: (name, streaming, engine, scheduler, speculate); every backend that
+#: is not a plain in-thread run (worker threads or processes, the
+#: multi-node ``distrib`` engine's executor threads, the cost model's
+#: timed simulation) is exercised on a rotating subset of cases to
+#: bound tier-1 runtime
 BACKENDS = [
     ("barrier-static", False, "serial", STATIC, False),
     ("barrier-stealing", False, "serial", STEALING, False),
     ("streaming-serial", True, "serial", STATIC, False),
     ("streaming-threads-static", True, "threads", STATIC, False),
     ("streaming-threads-stealing", True, "threads", STEALING, True),
+    ("streaming-processes-static", True, "processes", STATIC, False),
     ("distrib-2node", False, "distrib", STATIC, False),
+    ("costmodel", False, "costmodel", STATIC, False),
 ]
 _THREADED_EVERY = 3
 
@@ -53,8 +60,7 @@ def fuzz_config() -> SynthesisConfig:
 
 def _backends_for(case_index: int):
     for name, streaming, engine, sched, speculate in BACKENDS:
-        if engine in ("threads", "distrib") \
-                and case_index % _THREADED_EVERY:
+        if engine != "serial" and case_index % _THREADED_EVERY:
             continue
         yield name, streaming, engine, sched, speculate
 
@@ -88,6 +94,8 @@ def test_differential_corpus(fuzz_seed, fuzz_iterations, record_failure,
                     _backends_for(ci):
                 if engine == "distrib":
                     actual = _run_distrib(pp, k)
+                elif engine == "costmodel":
+                    actual = simulate_plan(pp.plan, k).output
                 else:
                     pp.streaming = streaming
                     pp.engine = engine

@@ -204,6 +204,28 @@ def test_on_result_complete_and_ordered_with_slow_sink():
     assert emitted == list(range(8))  # every chunk, in order, pre-return
 
 
+def test_closing_iter_stream_idles_the_workers():
+    data = "".join(f"{i}\n" for i in range(200000))   # ~32 chunk tasks
+    calls = []
+
+    def work(chunk):
+        calls.append(len(chunk))
+        time.sleep(0.02)
+        return chunk
+
+    sched = ChunkScheduler(_timed(work), workers=4)
+    outputs = sched.iter_stream(data, 4)
+    first = next(outputs)
+    assert data.startswith(first)
+    outputs.close()             # the consumer needs no more (early exit)
+    stealers = [t for t in threading.enumerate()
+                if t.name.startswith("repro-steal-")]
+    for thread in stealers:
+        thread.join(timeout=5.0)
+    assert not any(t.is_alive() for t in stealers)
+    assert sum(calls) < len(data)   # the rest of the stream never ran
+
+
 # -- TaskSet (streaming dispatch wrapper) ------------------------------------
 
 
