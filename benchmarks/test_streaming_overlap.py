@@ -1,9 +1,9 @@
 """Streaming data plane: output identity, stage overlap, throughput.
 
 The barrier engine (the paper's measurement setup) materializes every
-intermediate stream; the streaming engine exchanges bounded queues of
-line-aligned chunks so consecutive parallel stages compute
-concurrently.  This bench asserts the acceptance criteria of the
+intermediate stream; the streaming engine hands line-aligned chunks
+from stage to stage, each stage keeping up to ``k`` in flight, so
+consecutive parallel stages compute concurrently.  This bench asserts the acceptance criteria of the
 streaming data plane: byte-identical output on both planes, and
 nonzero cross-stage overlap accounted by ``RunStats`` on a multi-stage
 parallel pipeline under a concurrent engine.

@@ -64,7 +64,6 @@ def parallelize(
     results: Optional[Dict[Tuple[str, ...], SynthesisResult]] = None,
     store: Optional[Union[str, "CombinerStore"]] = None,
     streaming: bool = True,
-    queue_depth: Optional[int] = None,
     rewrite: Optional[bool] = None,
     scheduler: str = "auto",
     speculate: bool = False,
@@ -90,8 +89,6 @@ def parallelize(
         streaming: run with the chunk-pipelined streaming data plane
             (default); ``False`` selects the barrier plane, which fully
             materializes every intermediate stream.
-        queue_depth: chunks buffered between streaming stages before
-            the producer blocks.
         rewrite: override just the rewrite-engine half of ``optimize``
             (``rewrite=False, optimize=True`` keeps combiner
             elimination but executes the pipeline exactly as written).
@@ -124,4 +121,4 @@ def parallelize(
         plan = compile_pipeline(pipeline, results, optimize=optimize,
                                 scheduler=scheduler)
     return ParallelPipeline(plan, k=k, engine=engine, streaming=streaming,
-                            queue_depth=queue_depth, speculate=speculate)
+                            speculate=speculate)

@@ -134,7 +134,6 @@ def _build(args):
                        engine=args.engine, optimize=args.optimize,
                        config=_config(args), store=_open_store(args.store),
                        streaming=not args.barrier,
-                       queue_depth=args.queue_depth,
                        scheduler=args.scheduler, speculate=args.speculate)
 
 
@@ -352,8 +351,7 @@ def cmd_submit(args) -> int:
             args.pipeline, files=files, env=env, k=args.k,
             engine=args.engine, streaming=not args.barrier,
             optimize=args.optimize, scheduler=args.scheduler,
-            speculate=args.speculate, queue_depth=args.queue_depth,
-            distribute=args.distribute,
+            speculate=args.speculate, distribute=args.distribute,
             max_size=args.max_size, seed=args.seed)
         if args.no_wait:
             print(job_id)
@@ -435,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--speculate", action="store_true",
                        help="re-execute straggler chunk tasks "
                             "speculatively; first result wins")
-        p.add_argument("--queue-depth", type=int, default=None,
-                       help="chunks buffered between streaming stages")
         p.add_argument("--store",
                        help="JSON combiner store to read/update, skipping "
                             "re-synthesis of known commands")
@@ -551,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--scheduler", default="auto",
                     choices=("auto", "static", "stealing"))
     sb.add_argument("--speculate", action="store_true")
-    sb.add_argument("--queue-depth", type=int, default=None)
     sb.add_argument("--distribute", action="store_true",
                     help="run chunk tasks on the daemon's executor nodes "
                          "(falls back to local when none are live)")

@@ -1,13 +1,15 @@
 """Parallel runtime: splitting, k-way combining, planning, execution.
 
 Execution offers two data planes — the chunk-pipelined **streaming**
-plane (default; stages overlap via bounded queues of line-aligned
-chunks) and the paper-faithful **barrier** plane (full materialization
-between stages) — over three backends (``serial`` / ``threads`` /
-``processes``).  The split -> map -> combine contract is written once
-per plane: :func:`repro.parallel.walker.run_materialized` (barrier,
-distributed, cost model) and
-:func:`repro.parallel.streaming.stage_outputs` (every streaming engine).
+plane (default; chained stage generators overlap through each stage's
+window of in-flight chunk futures) and the paper-faithful **barrier**
+plane (full materialization between stages) — over three backends
+(``serial`` / ``threads`` / ``processes``) that differ only in the
+runner chunk work is dispatched to.  The split -> map -> combine
+contract is written once per plane:
+:func:`repro.parallel.walker.run_materialized` (barrier, distributed,
+cost model) and :func:`repro.parallel.streaming.stage_outputs` (every
+streaming engine).
 """
 
 from .combining import KWayCombiner
@@ -49,7 +51,6 @@ from .scheduler import (
 )
 from .splitter import split_stream
 from .streaming import (
-    DEFAULT_QUEUE_DEPTH,
     StageTrace,
     combine_is_cheap,
     merge_intervals,
@@ -60,7 +61,7 @@ from .streaming import (
 
 __all__ = [
     "AUTO", "AdaptiveSplitter", "BARRIER", "ChunkScheduler",
-    "DEFAULT_QUEUE_DEPTH", "DistribStats", "FaultPolicy", "InjectedFault",
+    "DistribStats", "FaultPolicy", "InjectedFault",
     "KWayCombiner", "NodeKilled",
     "PARALLEL", "PROCESSES", "ParallelPipeline", "PipelinePlan",
     "RERUN_REDUCTION_THRESHOLD", "RunStats", "RunnerPool", "SCHEDULERS",

@@ -2,8 +2,9 @@
 
 Two data planes share one compiled plan:
 
-* **streaming** (default) — stages exchange bounded queues of
-  line-aligned chunks, so stage *i+1* starts consuming while stage *i*
+* **streaming** (default) — stages are chained generators exchanging
+  line-aligned chunks, each keeping up to ``k`` chunk futures in flight
+  on the shared runner, so stage *i+1* starts consuming while stage *i*
   is still producing (:mod:`repro.parallel.streaming`).  This
   generalizes the combiner-elimination fast path (Figure 5c) into the
   default execution model.
@@ -230,23 +231,18 @@ class ParallelPipeline:
                  engine: str = SERIAL,
                  runner: Optional[StageRunner] = None,
                  streaming: bool = True,
-                 queue_depth: Optional[int] = None,
                  scheduler: Optional[str] = None,
                  speculate: bool = False,
                  scheduler_config: Optional[SchedulerConfig] = None,
                  fault_policy: Optional[FaultPolicy] = None) -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError(
-                f"queue_depth must be positive, got {queue_depth}")
         if scheduler not in (None, STATIC, STEALING, AUTO):
             raise ValueError(f"unknown scheduler {scheduler!r}")
         self.plan = plan
         self.k = k
         self.engine = engine
         self.streaming = streaming
-        self.queue_depth = queue_depth
         # runtime override beats the plan attribute; AUTO (an unresolved
         # plan that never went through the selector) degrades to static
         chosen = scheduler if scheduler is not None \
@@ -279,14 +275,13 @@ class ParallelPipeline:
     # -- streaming data plane ------------------------------------------------
 
     def run_streaming(self, data: Optional[str] = None) -> str:
-        """Execute with chunk-pipelined stages (bounded-queue data plane)."""
+        """Execute with chunk-pipelined stages (generator-chain data plane)."""
         initial = self.plan.pipeline._initial_stream(data)
         stats = self._new_stats(STREAMING)
         start = time.perf_counter()
         output, traces = self._with_runner(
             lambda runner: run_chunk_pipelined(
                 self.plan, self.k, runner, initial,
-                queue_depth=self.queue_depth,
                 scheduler=self.scheduler,
                 scheduler_config=self.scheduler_config,
                 fault_policy=self.fault_policy,

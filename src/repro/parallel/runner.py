@@ -178,12 +178,15 @@ class RunnerPool:
     — so any thread runner of sufficient width is reusable by any job.
     Process runners snapshot the virtual filesystem into workers at
     pool startup, so they are keyed by a fingerprint of the context and
-    only reused by jobs with an identical one.
+    only reused by jobs with an identical one.  That makes the number
+    of keys unbounded (one per distinct dataset), so ``max_idle`` bounds
+    the idle runners in *total*: on overflow the least recently
+    released one is closed.
     """
 
-    def __init__(self, max_idle_per_key: int = 2) -> None:
-        self.max_idle_per_key = max_idle_per_key
-        self._idle: Dict[tuple, List[StageRunner]] = {}
+    def __init__(self, max_idle: int = 2) -> None:
+        self.max_idle = max_idle
+        self._idle: List[StageRunner] = []   # least recently released first
         self._lock = threading.Lock()
         self._closed = False
         self.reused = 0
@@ -203,9 +206,10 @@ class RunnerPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("RunnerPool is closed")
-            idle = self._idle.get(key)
-            runner = idle.pop() if idle else None
+            runner = next((r for r in reversed(self._idle)
+                           if r._pool_key == key), None)
             if runner is not None:
+                self._idle.remove(runner)
                 self.reused += 1
             else:
                 self.created += 1
@@ -221,23 +225,21 @@ class RunnerPool:
         return runner
 
     def release(self, runner: StageRunner) -> None:
-        key = getattr(runner, "_pool_key", None)
-        if key is None:  # not one of ours: just close it
+        if not hasattr(runner, "_pool_key"):  # not one of ours: just close it
             runner.close()
             return
         with self._lock:
             if not self._closed:
-                idle = self._idle.setdefault(key, [])
-                if len(idle) < self.max_idle_per_key:
-                    idle.append(runner)
+                self._idle.append(runner)
+                if len(self._idle) <= self.max_idle:
                     return
+                runner = self._idle.pop(0)
         runner.close()
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            runners = [r for idle in self._idle.values() for r in idle]
-            self._idle.clear()
+            runners, self._idle = self._idle, []
         for runner in runners:
             runner.close()
 
@@ -249,4 +251,4 @@ class RunnerPool:
 
     def idle_count(self) -> int:
         with self._lock:
-            return sum(len(v) for v in self._idle.values())
+            return len(self._idle)

@@ -386,16 +386,13 @@ class ChunkScheduler:
                  *, stage_index: int = 0, workers: int = 1,
                  config: Optional[SchedulerConfig] = None,
                  fault_policy: Optional[FaultPolicy] = None,
-                 stats: Optional[SchedulerStats] = None,
-                 on_result: Optional[Callable[[int, str], None]] = None,
-                 ) -> None:
+                 stats: Optional[SchedulerStats] = None) -> None:
         self.run_chunk = run_chunk
         self.stage_index = stage_index
         self.workers = max(1, workers)
         self.config = config or SchedulerConfig()
         self.fault_policy = fault_policy
         self.stats = stats if stats is not None else SchedulerStats()
-        self.on_result = on_result
         self.intervals: List[Tuple[float, float]] = []
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -576,11 +573,11 @@ class ChunkScheduler:
                 self._error = self._error or exc
                 self._cond.notify_all()
 
-    def _pending_emits(self) -> List[Tuple[int, str]]:
+    def _pending_emits(self) -> List[str]:
         """Pop the newly completed prefix (caller must hold the lock)."""
-        out: List[Tuple[int, str]] = []
+        out: List[str] = []
         while self._emitted in self._results:
-            out.append((self._emitted, self._results[self._emitted]))
+            out.append(self._results[self._emitted])
             self._emitted += 1
         return out
 
@@ -599,8 +596,8 @@ class ChunkScheduler:
         # next task poll, so joining it would forfeit exactly the
         # latency speculation recovered.  Emission happens HERE, in the
         # single consuming thread: workers emitting directly could
-        # interleave out of order, and a blocking consumer (bounded
-        # queue) must not stall a compute worker.
+        # interleave out of order, and a consumer that is slow to pull
+        # must not stall a compute worker.
         try:
             while True:
                 with self._cond:
@@ -610,10 +607,7 @@ class ChunkScheduler:
                             break
                         self._cond.wait(timeout=0.05)
                         continue
-                for idx, out in emits:
-                    if self.on_result is not None:
-                        self.on_result(idx, out)
-                    yield out
+                yield from emits
         finally:
             # nobody consumes further results — also when the consumer
             # stopped early (downstream early exit, an error elsewhere):
@@ -629,7 +623,7 @@ class ChunkScheduler:
 class TaskSet:
     """Fault-tolerant in-order dispatch for the streaming data plane.
 
-    The streaming pump keeps chunks flowing downstream in submission
+    The streaming plane keeps chunks flowing downstream in submission
     order, so it cannot hand a whole task pool to the deque scheduler;
     instead every chunk dispatch is wrapped here: kill-faults are
     retried at submit time, failures surfacing at drain time are
@@ -642,14 +636,12 @@ class TaskSet:
                  *, stage_index: int = 0,
                  config: Optional[SchedulerConfig] = None,
                  fault_policy: Optional[FaultPolicy] = None,
-                 stats: Optional[SchedulerStats] = None,
-                 concurrent: bool = True) -> None:
+                 stats: Optional[SchedulerStats] = None) -> None:
         self._submit = submit            # (chunk, delay) -> Future
         self.stage_index = stage_index
         self.config = config or SchedulerConfig()
         self.fault_policy = fault_policy
         self.stats = stats if stats is not None else SchedulerStats()
-        self.concurrent = concurrent
         self._durations: List[float] = []
 
     def submit(self, index: int, chunk: str):
@@ -676,8 +668,7 @@ class TaskSet:
         while True:
             waiting = {f for f in (future, spec) if f is not None}
             eta = speculation_eta(self._durations, self.config) \
-                if (self.config.speculate and self.concurrent
-                    and spec is None
+                if (self.config.speculate and spec is None
                     and attempts < self.config.max_attempts) else None
             timeout = None
             if eta is not None:

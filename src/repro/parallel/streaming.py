@@ -5,9 +5,9 @@ stage to completion, materializing the whole intermediate stream as one
 Python string, before the next stage starts — faithful to the paper's
 measurement setup, but wasteful on a real deployment.  This module
 generalizes the intermediate-combiner-elimination fast path (Figure 5c)
-into the data plane itself: stages exchange **bounded queues of
-line-aligned chunks**, so a chunk leaving an eliminated-combiner stage
-is consumed by stage *i+1* while its sibling chunks are still being
+into the data plane itself: stages exchange **line-aligned chunks one
+at a time**, so a chunk leaving an eliminated-combiner stage is
+consumed by stage *i+1* while its sibling chunks are still being
 produced by stage *i*.
 
 The structural semantics are exactly the barrier engine's, decided
@@ -34,15 +34,19 @@ byte-identical: synthesized combiners are insensitive to line-aligned
 chunk boundaries — the same property the barrier engine relies on when
 ``k`` varies.
 
-Engines — every one runs the same per-stage generator,
-:func:`stage_outputs`:
-
-* ``serial`` — pure generator chaining (a chunk-pipelined pull model:
-  no threads, deterministic, zero measured overlap);
-* ``threads`` / ``processes`` — each stage's generator runs in a pump
-  thread, connected by bounded :class:`queue.Queue` links; chunk work
-  is dispatched to the shared worker pool, so total compute concurrency
-  stays bounded by ``k`` across the whole pipeline.
+One driver for every engine: each stage is the generator
+:func:`stage_outputs`, and :func:`run_chunk_pipelined` chains them on
+the caller's thread — a pull model with no control threads and no
+queues.  Engines differ only in the runner the mapper dispatches to:
+``serial`` hands back completed futures (deterministic, zero measured
+overlap); ``threads`` / ``processes`` hand back *pending* ones, so
+while a stage pulls its next input chunk up to ``k`` of its own chunks
+are computing in the shared worker pool — that window is both the
+cross-stage overlap and the back-pressure (at most ``k`` undelivered
+chunks per stage), and the pool keeps total compute concurrency bounded
+by ``k`` across the whole pipeline.  A stage that needs no more input
+closes its upstream generator; a stage error is an ordinary exception
+propagating up the chain.
 
 Accounting: every command invocation and combine application is
 recorded as a busy interval; :attr:`StageStats.overlap_seconds` is the
@@ -52,8 +56,6 @@ predecessor's — genuinely concurrent compute, not just co-residency.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections import deque
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
@@ -75,9 +77,6 @@ from .scheduler import (
 from .splitter import split_stream
 from .walker import combine_outputs, input_is_chunked
 
-#: chunks buffered between two pump threads before the producer blocks
-DEFAULT_QUEUE_DEPTH = 8
-
 #: streaming splits into up to ``OVERSPLIT * k`` chunks: with more
 #: chunks than workers, stage i+1's workers start on early chunks while
 #: stage i still holds later ones — chunk-count == worker-count would
@@ -87,8 +86,6 @@ OVERSPLIT = 4
 #: never oversplit below this chunk size; tiny inputs fall back to the
 #: barrier engine's k-way decomposition
 MIN_CHUNK_BYTES = 64 * 1024
-
-_DONE = object()  # end-of-stream sentinel
 
 
 def stream_chunk_count(nbytes: int, k: int) -> int:
@@ -140,10 +137,10 @@ def _gather_prefix(chunks: Iterator[str], limit: int,
                    trace: StageTrace) -> str:
     """Accumulate incoming chunks until they hold ``limit`` lines.
 
-    The single definition of the early-exit prefix for both engines:
-    chunks are line-aligned, so once the accumulated newline count
-    reaches ``limit`` the prefix contains every line the stage's
-    output depends on.
+    The single definition of the early-exit prefix: chunks are
+    line-aligned, so once the accumulated newline count reaches
+    ``limit`` the prefix contains every line the stage's output
+    depends on.
     """
     if limit <= 0:
         return ""  # output is fixed before reading anything
@@ -157,14 +154,6 @@ def _gather_prefix(chunks: Iterator[str], limit: int,
         if newlines >= limit:
             break
     return "".join(parts)
-
-
-class _Abort(Exception):
-    """Internal: another stage failed; unwind this pump quietly."""
-
-
-class _Cancelled(Exception):
-    """Internal: the downstream stage needs no more input (early exit)."""
 
 
 def prefix_limit(command) -> Optional[int]:
@@ -269,160 +258,59 @@ def stage_outputs(stages: Sequence[StagePlan], index: int,
     run_materialized`'s loop body, with the same decisions at the same
     stage boundaries.  ``map_chunks(stage, index, chunks)`` lazily maps
     the stage command over an iterator of chunks, yielding outputs in
-    chunk order; ``upstream.close()`` tells whatever produces the input
-    that no more of it is needed.
+    chunk order.  Closing a stage is the one stop signal: however this
+    generator ends (exhausted, closed by an early-exiting consumer, or
+    unwound by an error) it closes ``upstream``, so the whole chain
+    behind it stops producing and its mappers cancel queued work.
     """
     stage = stages[index]
-    limit = None if stage.eliminated else prefix_limit(stage.command)
-    if limit is not None or stage.mode == "sequential":
-        if limit is not None:
-            # early exit: pull chunks only until the prefix the command
-            # depends on is complete, then cancel upstream production
-            # (a no-op when the stream already ended naturally)
-            data = _gather_prefix(upstream, limit, trace)
-            upstream.close()
-        else:
-            data = "".join(upstream)
-            trace.bytes_in += len(data)
-            trace.chunks += 1
-        t0 = time.perf_counter()
-        out = stage.command.run(data)
-        trace.record(t0, time.perf_counter())
-        trace.bytes_out += len(out)
-        yield out
-        return
-
-    def incoming() -> Iterator[str]:
-        if input_is_chunked(stages, index):
-            chunks: Iterable[str] = upstream
-        else:
-            data = "".join(upstream)
-            chunks = split_stream(data, chunk_count(index, len(data)))
-        for chunk in chunks:
-            trace.bytes_in += len(chunk)
-            yield chunk
-
-    outputs = map_chunks(stage, index, incoming())
-    if stage.eliminated:
-        for out in outputs:
-            trace.chunks += 1
+    try:
+        limit = None if stage.eliminated else prefix_limit(stage.command)
+        if limit is not None or stage.mode == "sequential":
+            if limit is not None:
+                # early exit: pull chunks only until the prefix the
+                # command depends on is complete, then cancel upstream
+                # production before running the command (a no-op when
+                # the stream already ended naturally)
+                data = _gather_prefix(upstream, limit, trace)
+                upstream.close()
+            else:
+                data = "".join(upstream)
+                trace.bytes_in += len(data)
+                trace.chunks += 1
+            t0 = time.perf_counter()
+            out = stage.command.run(data)
+            trace.record(t0, time.perf_counter())
             trace.bytes_out += len(out)
             yield out
-        return
-    gathered = list(outputs)
-    trace.chunks += len(gathered)
-    t0 = time.perf_counter()
-    combined = combine_outputs(stage, gathered)
-    trace.record(t0, time.perf_counter())
-    trace.bytes_out += len(combined)
-    yield combined
+            return
 
+        def incoming() -> Iterator[str]:
+            if input_is_chunked(stages, index):
+                chunks: Iterable[str] = upstream
+            else:
+                data = "".join(upstream)
+                chunks = split_stream(data, chunk_count(index, len(data)))
+            for chunk in chunks:
+                trace.bytes_in += len(chunk)
+                yield chunk
 
-# ---------------------------------------------------------------------------
-# threaded engines: pump thread per stage, bounded queues between stages
-
-
-class _Link:
-    """A bounded chunk queue between two stages' pump threads.
-
-    The producer calls :meth:`put`; the consumer iterates.  A consumer that
-    needs no more input (early exit, :func:`prefix_limit`) calls
-    :meth:`close`; the producer's next :meth:`put` then raises
-    :class:`_Cancelled`, which cascades the cancellation upstream
-    instead of letting producers block on a queue nobody drains.
-    """
-
-    __slots__ = ("q", "cancelled", "abort")
-
-    def __init__(self, depth: int, abort: threading.Event) -> None:
-        self.q: "queue.Queue" = queue.Queue(maxsize=depth)
-        self.cancelled = threading.Event()
-        self.abort = abort
-
-    def put(self, item: object) -> None:
-        while True:
-            if self.abort.is_set():
-                raise _Abort()
-            if self.cancelled.is_set():
-                raise _Cancelled()
-            try:
-                self.q.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                continue
-
-    def __iter__(self) -> "_Link":
-        return self
-
-    def __next__(self) -> str:
-        while True:
-            if self.abort.is_set():
-                raise _Abort()
-            try:
-                item = self.q.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            if item is _DONE:
-                raise StopIteration
-            return item
-
-    def close(self) -> None:
-        self.cancelled.set()
-
-
-def _pump(outputs: Iterator[str], in_q: _Link, out_q: _Link,
-          errors: List[BaseException]) -> None:
-    """Run one stage's generator, forwarding its chunks downstream."""
-    try:
-        for out in outputs:
-            out_q.put(out)
-        out_q.put(_DONE)
-    except _Abort:
-        pass
-    except _Cancelled:
-        # downstream early-exited: stop producing and cascade the
-        # cancellation so our own upstream unwinds too
-        in_q.close()
-    except BaseException as exc:  # noqa: BLE001 - ferried to the caller
-        errors.append(exc)
-        in_q.abort.set()
-
-
-def _run_threaded(stage_chain: Callable[[int, Iterator[str]], Iterator[str]],
-                  n_stages: int, initial: str, queue_depth: int) -> str:
-    abort = threading.Event()
-    links = [_Link(queue_depth, abort) for _ in range(n_stages + 1)]
-    errors: List[BaseException] = []
-    pumps = [
-        threading.Thread(
-            target=_pump,
-            args=(stage_chain(i, links[i]), links[i], links[i + 1], errors),
-            name=f"repro-stage-{i}", daemon=True)
-        for i in range(n_stages)
-    ]
-    for pump in pumps:
-        pump.start()
-    parts: List[str] = []
-    try:
-        try:
-            links[0].put(initial)
-            links[0].put(_DONE)
-        except _Cancelled:
-            pass  # stage 0 early-exited before draining the source
-        parts = list(links[-1])
-    except _Abort:
-        pass
+        outputs = map_chunks(stage, index, incoming())
+        if stage.eliminated:
+            for out in outputs:
+                trace.chunks += 1
+                trace.bytes_out += len(out)
+                yield out
+            return
+        gathered = list(outputs)
+        trace.chunks += len(gathered)
+        t0 = time.perf_counter()
+        combined = combine_outputs(stage, gathered)
+        trace.record(t0, time.perf_counter())
+        trace.bytes_out += len(combined)
+        yield combined
     finally:
-        # unconditionally release the pumps: on KeyboardInterrupt (or any
-        # non-_Abort exception) they may be blocked putting into queues
-        # nobody drains anymore; harmless on the normal path where every
-        # pump has already finished
-        abort.set()
-        for pump in pumps:
-            pump.join()
-    if errors:
-        raise errors[0]
-    return "".join(parts)
+        upstream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +322,6 @@ def run_chunk_pipelined(
     k: int,
     runner: StageRunner,
     initial: str,
-    queue_depth: Optional[int] = None,
     scheduler: str = STATIC,
     scheduler_config: Optional[SchedulerConfig] = None,
     fault_policy: Optional[FaultPolicy] = None,
@@ -451,16 +338,12 @@ def run_chunk_pipelined(
     ``scheduler_config``) applies to every parallel chunk task under
     both schedulers, and its counters land in ``scheduler_stats``.
 
-    Every engine runs the same :func:`stage_outputs` generators: the
-    ``serial`` engine chains them (a pull model — a stage that stops
-    pulling *is* the cancellation, upstream never computes the rest);
-    ``threads``/``processes`` run each inside a pump thread between
-    bounded queues.  They differ only in the mapper.
+    Every engine chains the same :func:`stage_outputs` generators on
+    the calling thread (a pull model — a stage that stops pulling *is*
+    the cancellation, upstream never computes the rest); engines differ
+    only in whether ``runner`` hands the mapper completed or pending
+    futures.
     """
-    if queue_depth is None:
-        queue_depth = DEFAULT_QUEUE_DEPTH
-    if queue_depth < 1:
-        raise ValueError(f"queue_depth must be positive, got {queue_depth}")
     config = scheduler_config or SchedulerConfig()
     stats = scheduler_stats if scheduler_stats is not None \
         else SchedulerStats()
@@ -480,14 +363,18 @@ def run_chunk_pipelined(
     def in_order(stage: StagePlan, index: int,
                  chunks: Iterator[str]) -> Iterator[str]:
         """Windowed dispatch: up to ``k`` chunks in flight, outputs in
-        submission order.  Under ``serial`` every future arrives
-        completed, so this is the inline loop with bounded retry."""
+        submission order.  The window is the pipeline's overlap (its
+        futures compute in the pool while downstream stages run on the
+        chunks already yielded) and its back-pressure (no chunk is
+        pulled from upstream while ``k`` are undelivered).  Under
+        ``serial`` every future arrives completed, so this is the
+        inline loop with bounded retry."""
         trace = traces[index]
         tasks = TaskSet(
             lambda chunk, delay: runner.submit_timed(stage.command, chunk,
                                                      delay),
             stage_index=index, config=config, fault_policy=fault_policy,
-            stats=stats, concurrent=not serial)
+            stats=stats)
         pending: deque = deque()
 
         def drain_one() -> str:
@@ -495,16 +382,23 @@ def run_chunk_pipelined(
             trace.record(t0, t1)
             return out
 
-        for ci, chunk in enumerate(chunks):
-            pending.append(tasks.submit(ci, chunk))
-            # drain in submission order so the downstream stage sees the
-            # barrier engine's chunk sequence: eagerly when the head is
-            # already done, forcibly to keep at most k chunks in flight
-            while pending and (pending[0][3].done()
-                               or len(pending) >= max(1, k)):
+        try:
+            for ci, chunk in enumerate(chunks):
+                pending.append(tasks.submit(ci, chunk))
+                # drain in submission order so the downstream stage sees
+                # the barrier engine's chunk sequence: eagerly when the
+                # head is already done, forcibly to keep at most k chunks
+                # in flight
+                while pending and (pending[0][3].done()
+                                   or len(pending) >= max(1, k)):
+                    yield drain_one()
+            while pending:
                 yield drain_one()
-        while pending:
-            yield drain_one()
+        finally:
+            # closed early or unwound by an error: nobody will read the
+            # queued chunks, so keep them off the shared pool
+            for entry in pending:
+                entry[3].cancel()
 
     def stealing(stage: StagePlan, index: int,
                  chunks: Iterator[str]) -> Iterator[str]:
@@ -525,16 +419,9 @@ def run_chunk_pipelined(
         mapper = stealing if adaptive(index) else in_order
         return mapper(stage, index, chunks)
 
-    def stage_chain(index: int, upstream: Iterator[str]) -> Iterator[str]:
-        return stage_outputs(stages, index, traces[index], upstream,
-                             chunk_count, map_chunks)
-
-    if not stages:
-        return initial, traces
-    if serial:
-        current: Iterator[str] = (chunk for chunk in (initial,))
-        for index in range(len(stages)):
-            current = stage_chain(index, current)
-        return "".join(current), traces
-    return _run_threaded(stage_chain, len(stages), initial,
-                         queue_depth), traces
+    # a generator, not iter(): stage 0 closes its upstream like any other
+    current: Iterator[str] = (chunk for chunk in (initial,))
+    for index in range(len(stages)):
+        current = stage_outputs(stages, index, traces[index], current,
+                                chunk_count, map_chunks)
+    return "".join(current), traces

@@ -28,7 +28,9 @@ files/env, and the per-stage synthesis results serialized through the
 combiner-store idiom (:func:`result_to_dict`).  A daemon restart loads
 the snapshot and serves previously-seen pipelines as *warm* hits: a
 cheap parse + ``compile_pipeline`` from stored synthesis results, with
-zero synthesis executions and no candidate selection.
+zero synthesis executions and no candidate selection.  The snapshot
+holds at most ``capacity`` entries, like the in-memory LRU: the oldest
+is dropped first, and a warm hit refreshes its entry's age.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class PlanCache:
         self.path = Path(path) if path is not None else None
         self.max_persist_bytes = max_persist_bytes
         self._plans: "OrderedDict[tuple, PipelinePlan]" = OrderedDict()
-        self._snapshot: Dict[str, dict] = {}
+        self._snapshot: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = threading.Lock()
         self._inflight: Dict[tuple, threading.Lock] = {}
         self._hits = 0
@@ -177,7 +179,10 @@ class PlanCache:
                     self._hits += 1
                     self._plans.move_to_end(key)
                     return plan, HIT_MEMORY
-                entry = self._snapshot.get(key_digest(key))
+                digest = key_digest(key)
+                entry = self._snapshot.get(digest)
+                if entry is not None:
+                    self._snapshot.move_to_end(digest)
             hit: object = False
             try:
                 plan = None
@@ -245,8 +250,11 @@ class PlanCache:
         if size > self.max_persist_bytes:
             return
         entry = plan_to_entry(plan, request.files, request.env)
+        digest = key_digest(key)
         with self._lock:
-            self._snapshot[key_digest(key)] = entry
+            self._snapshot[digest] = entry
+            while len(self._snapshot) > self.capacity:
+                self._snapshot.popitem(last=False)
 
     def _rehydrate(self, entry: dict) -> PipelinePlan:
         return entry_to_plan(entry)
@@ -269,8 +277,9 @@ class PlanCache:
         if payload.get("schema") != _SNAPSHOT_SCHEMA:
             raise ValueError(
                 f"unsupported plan-cache schema: {payload.get('schema')}")
+        entries = list(payload["entries"].items())
         with self._lock:
-            self._snapshot = dict(payload["entries"])
+            self._snapshot = OrderedDict(entries[-self.capacity:])
 
     # -- introspection -------------------------------------------------------
 

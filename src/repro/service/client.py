@@ -141,7 +141,6 @@ class ServiceClient:
                engine: str = "serial", streaming: bool = True,
                optimize: bool = True, scheduler: str = "auto",
                speculate: bool = False,
-               queue_depth: Optional[int] = None,
                distribute: bool = False,
                max_size: int = 7, seed: int = 0,
                priority: str = "normal") -> str:
@@ -150,7 +149,7 @@ class ServiceClient:
             pipeline=pipeline, files=dict(files or {}), env=dict(env or {}),
             k=k, engine=engine, streaming=streaming, optimize=optimize,
             scheduler=scheduler, speculate=speculate,
-            queue_depth=queue_depth, distribute=distribute,
+            distribute=distribute,
             max_size=max_size, seed=seed,
             client_id=self.client_id, priority=priority)
         return self.submit_request(request)

@@ -62,7 +62,6 @@ class JobRequest:
     optimize: bool = True
     scheduler: str = AUTO
     speculate: bool = False
-    queue_depth: Optional[int] = None
     #: run the chunk map steps on the cluster's executor nodes (falls
     #: back to local execution when no node is live); runtime-only, so
     #: like ``priority`` it is not part of the plan-cache identity
@@ -90,10 +89,6 @@ class JobRequest:
                 f"(expected one of {JOB_SCHEDULERS})")
         if not isinstance(self.k, int) or not 1 <= self.k <= MAX_JOB_K:
             raise ValidationError(f"k must be in 1..{MAX_JOB_K}, got {self.k}")
-        if self.queue_depth is not None and (
-                not isinstance(self.queue_depth, int) or self.queue_depth < 1):
-            raise ValidationError(
-                f"queue_depth must be a positive int, got {self.queue_depth}")
         if not isinstance(self.max_size, int) or self.max_size < 1:
             raise ValidationError(
                 f"max_size must be a positive int, got {self.max_size}")
@@ -128,8 +123,7 @@ class JobRequest:
             "pipeline": self.pipeline, "files": self.files, "env": self.env,
             "k": self.k, "engine": self.engine, "streaming": self.streaming,
             "optimize": self.optimize, "scheduler": self.scheduler,
-            "speculate": self.speculate, "queue_depth": self.queue_depth,
-            "distribute": self.distribute,
+            "speculate": self.speculate, "distribute": self.distribute,
             "max_size": self.max_size, "seed": self.seed,
             "client_id": self.client_id, "priority": self.priority,
         }
@@ -142,8 +136,8 @@ class JobRequest:
             raise ValidationError("request is missing 'pipeline'")
         unknown = set(data) - {
             "pipeline", "files", "env", "k", "engine", "streaming",
-            "optimize", "scheduler", "speculate", "queue_depth",
-            "distribute", "max_size", "seed", "client_id", "priority"}
+            "optimize", "scheduler", "speculate", "distribute",
+            "max_size", "seed", "client_id", "priority"}
         if unknown:
             raise ValidationError(f"unknown request fields: {sorted(unknown)}")
         for label in ("files", "env"):
@@ -160,7 +154,6 @@ class JobRequest:
             optimize=bool(data.get("optimize", True)),
             scheduler=data.get("scheduler", AUTO),
             speculate=bool(data.get("speculate", False)),
-            queue_depth=data.get("queue_depth"),
             distribute=bool(data.get("distribute", False)),
             max_size=data.get("max_size", 7),
             seed=data.get("seed", 0),

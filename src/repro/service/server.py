@@ -110,7 +110,10 @@ class _Job:
     __slots__ = ("request", "result", "done")
 
     def __init__(self, request: JobRequest, result: JobResult) -> None:
-        self.request = request
+        #: dropped once the job is picked up (or failed unrun): the job
+        #: table outlives the run by ``job_history`` jobs and must not
+        #: pin every input file; result polls need only ``result``
+        self.request: Optional[JobRequest] = request
         self.result = result
         self.done = threading.Event()
 
@@ -127,8 +130,7 @@ class ReproService:
             capacity=self.config.plan_cache_capacity, store=self.store,
             config_factory=self.config.config_factory,
             path=self.config.plan_cache_path)
-        self.runner_pool = RunnerPool(
-            max_idle_per_key=self.config.max_idle_runners)
+        self.runner_pool = RunnerPool(max_idle=self.config.max_idle_runners)
         self.scheduler = JobScheduler(
             self._execute, concurrency=self.config.concurrency,
             max_queued=self.config.max_queued,
@@ -186,6 +188,7 @@ class ReproService:
 
     def _execute(self, job: _Job) -> None:
         request, result = job.request, job.result
+        job.request = None
         result.started_at = time.time()
         result.status = JOB_RUNNING
         try:
@@ -206,7 +209,6 @@ class ReproService:
                     pp = ParallelPipeline(
                         plan, k=request.k, engine=request.engine,
                         runner=runner, streaming=request.streaming,
-                        queue_depth=request.queue_depth,
                         speculate=request.speculate)
                     result.output = pp.run()
                 finally:
@@ -463,6 +465,7 @@ class ReproService:
         with self._jobs_lock:
             pending = [j for j in self._jobs.values() if not j.result.done]
         for job in pending:
+            job.request = None
             job.result.status = JOB_FAILED
             job.result.error = message
             job.result.finished_at = time.time()
@@ -507,19 +510,23 @@ def _make_handler(service: ReproService):
                 self._json(400, {"error": str(exc)})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
-            url = urlparse(self.path)
-            if url.path == "/v1/jobs":
-                return self._submit()
-            if url.path == "/v1/nodes/register":
-                return self._node_register()
-            if url.path.startswith("/v1/nodes/"):
-                return self._node_call(url)
-            if url.path == "/v1/shutdown":
-                # respond first; stopping tears down this very listener
-                self._json(200, {"ok": True})
-                threading.Thread(target=service.stop, daemon=True).start()
-                return
-            self._json(404, {"error": f"no route {url.path}"})
+            try:
+                url = urlparse(self.path)
+                if url.path == "/v1/jobs":
+                    return self._submit()
+                if url.path == "/v1/nodes/register":
+                    return self._node_register()
+                if url.path.startswith("/v1/nodes/"):
+                    return self._node_call(url)
+                if url.path == "/v1/shutdown":
+                    # respond first; stopping tears down this very listener
+                    self._json(200, {"ok": True})
+                    threading.Thread(target=service.stop,
+                                     daemon=True).start()
+                    return
+                self._json(404, {"error": f"no route {url.path}"})
+            except (ValueError, TypeError) as exc:
+                self._json(400, {"error": str(exc)})
 
         # handlers ----------------------------------------------------------
 

@@ -164,6 +164,36 @@ def test_runner_pool_processes_keyed_by_context():
     pool.close()
 
 
+def test_runner_pool_bounds_total_idle_process_runners():
+    """Process runners are keyed by dataset, so the number of keys is
+    unbounded: the idle bound must hold across keys, and an evicted
+    runner's worker processes must be shut down, not leaked."""
+    import multiprocessing
+
+    from repro.shell.command import Command
+
+    children_before = len(multiprocessing.active_children())
+    pool = RunnerPool()
+    command = Command(["tr", "a-z", "A-Z"])
+    for i in range(6):
+        context = ExecContext(fs={"in.txt": f"dataset {i}\n"})
+        runner = pool.acquire(PROCESSES, 2, context)
+        # start the runner's workers, as a job would
+        assert runner.submit_timed(command, "x\n").result()[0] == "X\n"
+        pool.release(runner)
+        assert pool.idle_count() <= pool.max_idle
+    assert pool.idle_count() == pool.max_idle
+    children = len(multiprocessing.active_children()) - children_before
+    assert children <= 2 * pool.max_idle
+    # the most recently released runners are the ones kept warm
+    kept = pool.acquire(PROCESSES, 2,
+                        ExecContext(fs={"in.txt": "dataset 5\n"}))
+    assert pool.reused == 1
+    pool.release(kept)
+    pool.close()
+    assert len(multiprocessing.active_children()) == children_before
+
+
 def test_runner_pool_concurrent_acquire_gets_distinct_runners():
     pool = RunnerPool()
     held = []
@@ -179,7 +209,7 @@ def test_runner_pool_concurrent_acquire_gets_distinct_runners():
     for r in held:
         pool.release(r)
     # idle retention is bounded
-    assert pool.idle_count() <= pool.max_idle_per_key
+    assert pool.idle_count() <= pool.max_idle
     pool.close()
 
 

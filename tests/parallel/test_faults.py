@@ -115,6 +115,37 @@ def test_delayed_head_of_line_speculation_streaming(tiny_config,
     assert pp.last_stats.scheduler.speculations >= 0  # may resolve pre-ETA
 
 
+def test_upstream_head_of_line_straggler_streaming_threads(tiny_config,
+                                                           serial_output):
+    """One driver thread: while stage 0's head chunk straggles, stage 1
+    cannot drain what it already finished (docs/ARCHITECTURE.md, "The
+    streaming engine") — the run still terminates with the serial
+    output and schedules exactly the undelayed run's tasks."""
+    import threading
+
+    def run(policy):
+        pp = _pp(tiny_config, engine="threads", scheduler="static")
+        stages = pp.plan.stages
+        assert stages[0].parallel and stages[0].eliminated
+        assert stages[1].parallel
+        pp.fault_policy = policy
+        outputs = []
+        worker = threading.Thread(target=lambda: outputs.append(pp.run()),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=60.0)
+        assert not worker.is_alive()
+        return outputs[0], pp.last_stats
+
+    plain_output, plain_stats = run(None)
+    policy = FaultPolicy(delay={(0, 0): 0.3})
+    output, stats = run(policy)
+    assert output == plain_output == serial_output
+    assert policy.injected_delays == 1
+    assert stats.scheduler.tasks == plain_stats.scheduler.tasks
+    assert stats.seconds >= 0.3
+
+
 def test_fault_policy_counters_roundtrip_run_stats(tiny_config,
                                                    serial_output):
     from repro.parallel import run_stats_from_dict

@@ -174,34 +174,32 @@ def test_speculation_duplicates_straggler_and_wins():
     assert elapsed < 0.9  # did not wait out the 1s original
 
 
-def test_on_result_emits_in_index_order():
-    emitted = []
-    sched = ChunkScheduler(_timed(lambda c: c), workers=4,
-                           on_result=lambda i, out: emitted.append(i))
-    sched.run_chunks([f"{i}\n" for i in range(17)])
-    assert emitted == list(range(17))
+def test_iter_stream_emits_in_index_order():
+    data = "".join(f"{i}\n" for i in range(40000))
+    sched = ChunkScheduler(_timed(lambda c: c), workers=4)
+    emitted = list(sched.iter_stream(data, 4))
+    assert len(emitted) > 4
+    assert "".join(emitted) == data
 
 
-def test_on_result_complete_and_ordered_with_slow_sink():
-    """Review-pinned: a briefly-blocking sink must not let run() return
-    with chunks unemitted or emitted out of index order (emission now
-    happens in the calling thread, after-the-fact and prefix-ordered)."""
-    emitted = []
-
-    def slow_sink(i, out):
-        time.sleep(0.01)
-        emitted.append(i)
+def test_iter_stream_complete_and_ordered_with_slow_consumer():
+    """Review-pinned: a briefly-blocking consumer must not let the
+    stream end with chunks unemitted or emitted out of index order
+    (emission happens in the consuming thread, prefix-ordered)."""
+    data = "".join(f"{i}-payload\n" for i in range(40000))
 
     def work(chunk):
         # skewed completion order: later chunks finish first
-        time.sleep(0.02 if chunk.startswith("0") else 0.0)
+        time.sleep(0.02 if chunk.startswith("0-") else 0.0)
         return chunk
 
-    sched = ChunkScheduler(_timed(work), workers=4, on_result=slow_sink)
-    chunks = [f"{i}-payload\n" for i in range(8)]
-    out = sched.run_chunks(list(chunks))
-    assert out == chunks
-    assert emitted == list(range(8))  # every chunk, in order, pre-return
+    sched = ChunkScheduler(_timed(work), workers=4)
+    emitted = []
+    for out in sched.iter_stream(data, 4):
+        time.sleep(0.01)
+        emitted.append(out)
+    assert len(emitted) > 4
+    assert "".join(emitted) == data  # every chunk, in order
 
 
 def test_closing_iter_stream_idles_the_workers():
@@ -242,7 +240,7 @@ def test_taskset_retries_submit_time_kills():
     policy = FaultPolicy(kill={(3, 0): 2})
     tasks = TaskSet(lambda chunk, delay: _resolved_future((chunk, 0.0, 0.0)),
                     stage_index=3, config=SchedulerConfig(max_attempts=3),
-                    fault_policy=policy, stats=stats, concurrent=False)
+                    fault_policy=policy, stats=stats)
     entry = tasks.submit(0, "payload")
     out, _, _ = tasks.result(entry)
     assert out == "payload"
@@ -254,7 +252,7 @@ def test_taskset_exhausts_attempts():
     policy = FaultPolicy(kill={(0, 0): 99})
     tasks = TaskSet(lambda chunk, delay: _resolved_future((chunk, 0.0, 0.0)),
                     config=SchedulerConfig(max_attempts=2),
-                    fault_policy=policy, stats=stats, concurrent=False)
+                    fault_policy=policy, stats=stats)
     with pytest.raises(InjectedFault):
         tasks.submit(0, "x")
     assert stats.failures == 2

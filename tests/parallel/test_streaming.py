@@ -1,5 +1,7 @@
 """Streaming (chunk-pipelined) data plane: correctness and accounting."""
 
+import threading
+
 import pytest
 
 from repro import parallelize
@@ -20,6 +22,7 @@ from repro.parallel.streaming import (
     stream_chunk_count,
 )
 from repro.shell import Pipeline
+from repro.shell.command import Command, CommandError
 from repro.unixsim import ExecContext
 
 TEXT = ("the quick Brown fox\nthe lazy dog THE\n" * 40 +
@@ -89,30 +92,46 @@ class TestCorrectness:
         assert streamed == barriered
         assert sorted(streamed.splitlines()) == sorted(expected.splitlines())
 
-    def test_queue_depth_one_still_correct(self, fast_config):
-        files = {"in.txt": TEXT}
-        pp = parallelize(WF, k=4, files=files, engine=THREADS,
-                         config=fast_config, queue_depth=1)
-        assert pp.run() == serial_output(WF, files)
-
-    def test_invalid_queue_depth_rejected(self, fast_config):
-        with pytest.raises(ValueError, match="queue_depth"):
-            parallelize("sort", k=2, config=fast_config, queue_depth=0)
-
 
 class TestErrorPropagation:
-    @pytest.mark.parametrize("engine", [SERIAL, THREADS])
+    @pytest.mark.parametrize("engine", [SERIAL, THREADS, PROCESSES])
     def test_stage_failure_raises(self, engine, fast_config):
         files = {"in.txt": TEXT}
         pp = parallelize(WF, k=4, files=files, engine=engine,
                          config=fast_config)
-
-        def boom(data):
-            raise RuntimeError("stage exploded")
-
-        pp.plan.stages[2].command.run = boom
-        with pytest.raises(RuntimeError, match="stage exploded"):
+        # a command that fails where the chunk runs under every engine
+        # (process workers rebuild commands from argv, so patching
+        # ``run`` in the parent would never reach them)
+        assert pp.plan.stages[2].parallel
+        pp.plan.stages[2].command = Command(["cat", "missing.txt"])
+        with pytest.raises(CommandError, match="missing.txt"):
             pp.run()
+
+
+class TestSingleDriver:
+    def test_no_control_threads_beyond_the_pool(self, fast_config):
+        """Every stage runs on the caller's thread: the only threads a
+        threaded run adds are the runner's ``k`` pool workers."""
+        k = 3
+        pp = parallelize(WF, k=k, files={"in.txt": TEXT * 20},
+                         engine=THREADS, config=fast_config,
+                         scheduler="static", rewrite=False)
+        assert len(pp.plan.stages) >= 4
+        seen = set()
+
+        def observed(run):
+            def wrapper(data):
+                seen.update(threading.enumerate())
+                return run(data)
+            return wrapper
+
+        for stage in pp.plan.stages:
+            stage.command.run = observed(stage.command.run)
+        before = set(threading.enumerate())
+        assert pp.run() == serial_output(WF, {"in.txt": TEXT * 20})
+        added = seen - before
+        assert len(added) <= k, sorted(t.name for t in added)
+        assert not [t.name for t in added if t.name.startswith("repro-")]
 
 
 class TestAccounting:
@@ -292,7 +311,7 @@ class TestEarlyExit:
         assert total_chunks > 1
         assert grep.executions - before < total_chunks
 
-    @pytest.mark.parametrize("engine", [SERIAL, THREADS])
+    @pytest.mark.parametrize("engine", [SERIAL, THREADS, PROCESSES])
     def test_output_matches_serial_reference(self, engine, fast_config):
         for text in ("cat in.txt | grep match | head -n 3",
                      "cat in.txt | grep match | sed 2q",

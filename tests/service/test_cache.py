@@ -40,7 +40,7 @@ def test_runtime_knobs_share_one_plan(fast_config):
     cache = _cache(fast_config)
     plan, _ = cache.get_or_compile(_request(k=2, engine="serial"))
     plan2, hit = cache.get_or_compile(
-        _request(k=8, engine="threads", streaming=False, queue_depth=2))
+        _request(k=8, engine="threads", streaming=False))
     assert hit and plan2 is plan
 
 
@@ -167,6 +167,32 @@ def test_persistence_round_trip(fast_config, tmp_path):
     # and a repeat is now an ordinary in-memory hit
     _, again = reborn.get_or_compile(_request())
     assert again == HIT_MEMORY
+
+
+def test_snapshot_is_bounded_by_capacity(fast_config, tmp_path):
+    """Fresh-input traffic must not grow the snapshot (and the file
+    ``save`` rewrites) without limit: oldest entry out first, a warm
+    hit refreshes its entry."""
+    path = tmp_path / "plans.json"
+    cache = _cache(fast_config, path=path, capacity=2)
+    requests = [_request(files={"input.txt": f"{i}\nb\na\n"})
+                for i in range(4)]
+    for request in requests[:3]:
+        cache.get_or_compile(request)
+    assert cache.stats()["persistent_entries"] == 2
+    cache.save()
+
+    reborn = _cache(fast_config, path=path, capacity=2)
+    assert reborn.stats()["persistent_entries"] == 2
+    _, hit = reborn.get_or_compile(requests[1])   # refreshes entry 1
+    assert hit == HIT_DISK
+    reborn.get_or_compile(requests[3])            # evicts entry 2, not 1
+    assert reborn.stats()["persistent_entries"] == 2
+    reborn.save()
+    third = _cache(fast_config, path=path, capacity=2)
+    assert third.get_or_compile(requests[1])[1] == HIT_DISK
+    assert not third.get_or_compile(requests[2])[1]
+    assert not third.get_or_compile(requests[0])[1]
 
 
 def test_persistence_skips_oversized_requests(fast_config, tmp_path):

@@ -98,6 +98,18 @@ def test_node_protocol_routes(service):
     assert client.register_node(node_id=node_id)["ordinal"] == 0
 
 
+def test_malformed_node_posts_are_400_not_dropped_connections(service):
+    client = ServiceClient(service.url, client_id="proto")
+    node_id = client.register_node()["node_id"]
+    for path, body in ((f"/v1/nodes/{node_id}/pull", {"wait": "soon"}),
+                       ("/v1/nodes/register", {"capacity": "two"})):
+        status, data = client._request("POST", path, body=body)
+        assert status == 400, (path, status, data)
+        assert data["error"]
+    # the handler thread survived: the node can still pull
+    assert client.node_pull(node_id, wait=0.0) == {"tasks": []}
+
+
 def test_evicted_node_is_told_to_reregister(service):
     client = ServiceClient(service.url, client_id="proto")
     node_id = client.register_node()["node_id"]

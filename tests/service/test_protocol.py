@@ -22,8 +22,7 @@ def _request(**overrides):
 
 
 def test_request_roundtrip():
-    req = _request(queue_depth=3, streaming=False, optimize=False,
-                   max_size=5, seed=9)
+    req = _request(streaming=False, optimize=False, max_size=5, seed=9)
     again = JobRequest.from_dict(req.to_dict())
     assert again == req
 
@@ -38,7 +37,6 @@ def test_request_validates():
     (dict(engine="gpu"), "unknown engine"),
     (dict(k=0), "k must be"),
     (dict(k=10_000), "k must be"),
-    (dict(queue_depth=0), "queue_depth"),
     (dict(max_size=0), "max_size"),
     (dict(seed=[1, 2]), "seed"),
     (dict(seed="7"), "seed"),
@@ -67,6 +65,9 @@ def test_from_dict_rejects_garbage():
         JobRequest.from_dict({"k": 2})
     with pytest.raises(ValidationError, match="unknown request fields"):
         JobRequest.from_dict({"pipeline": "sort", "sudo": True})
+    # a removed wire field is an unknown field like any other
+    with pytest.raises(ValidationError, match="unknown request fields"):
+        JobRequest.from_dict({"pipeline": "sort", "queue_depth": 8})
     for label in ("files", "env"):
         with pytest.raises(ValidationError, match=f"{label} must be"):
             JobRequest.from_dict({"pipeline": "sort", label: "x=y"})

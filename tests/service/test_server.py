@@ -151,6 +151,37 @@ def test_output_elision(service):
     assert client.result(job_id).output == _serial(PIPELINES[0])
 
 
+def test_finished_jobs_release_their_request(service):
+    """The job table keeps ``job_history`` finished records for late
+    polls; none of them may pin the request (every virtual file)."""
+    client = ServiceClient(service.url)
+    done = client.submit(PIPELINES[0], files=FILES, env=ENV)
+    failed = client.submit("cat missing.txt | sort", files={}, env={})
+    assert client.wait(done).status == "done"
+    assert client.wait(failed).status == "failed"
+    with service._jobs_lock:
+        assert [job.request for job in service._jobs.values()] == [None, None]
+    # a late poll needs only the JobResult
+    assert client.result(done).output == _serial(PIPELINES[0])
+
+
+def test_unrun_jobs_release_their_request_on_hard_stop(fast_config):
+    service = ReproService(ServiceConfig(
+        concurrency=1, config_factory=lambda _request: fast_config))
+    release = threading.Event()
+    execute = service._execute
+    service.scheduler.run_job = lambda job: (release.wait(10), execute(job))
+    from repro.service.protocol import JobRequest
+    results = [service.submit(JobRequest(pipeline=PIPELINES[0],
+                                         files=dict(FILES), env=dict(ENV)))
+               for _ in range(3)]
+    threading.Timer(0.2, release.set).start()
+    service.stop(drain=False, timeout=10)
+    assert any(r.status == "failed" for r in results)
+    with service._jobs_lock:
+        assert all(job.request is None for job in service._jobs.values())
+
+
 def test_status_and_metrics_endpoints(service):
     client = ServiceClient(service.url)
     client.run(PIPELINES[0], files=FILES, env=ENV)
