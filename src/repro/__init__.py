@@ -93,8 +93,9 @@ def parallelize(
             (``rewrite=False, optimize=True`` keeps combiner
             elimination but executes the pipeline exactly as written).
         scheduler: chunk scheduler for parallel stages — ``"static"``
-            (fixed k-way split), ``"stealing"`` (work-stealing deques
-            with adaptive chunk sizing), or ``"auto"`` (default: the
+            (fixed k-way split), ``"stealing"`` (a finer split, up to
+            ``8 * k`` chunks, balanced by the worker pool's shared
+            queue), or ``"auto"`` (default: the
             optimizer's cost model picks per pipeline; resolves to
             static when the rewrite engine is disabled).
         speculate: launch speculative duplicates of straggler chunk

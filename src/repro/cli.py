@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheduler", default="auto",
                        choices=("auto", "static", "stealing"),
                        help="chunk scheduler for parallel stages: fixed "
-                            "k-way split, work-stealing deques with "
-                            "adaptive chunk sizing, or cost-model choice "
+                            "k-way split, a finer split balanced by the "
+                            "worker pool's queue, or cost-model choice "
                             "(default)")
         p.add_argument("--speculate", action="store_true",
                        help="re-execute straggler chunk tasks "

@@ -10,7 +10,7 @@ combiner store and handy in tests/REPL sessions::
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List
 
 from .ast import (
     Add,

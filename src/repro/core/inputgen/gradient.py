@@ -10,7 +10,7 @@ over input shapes described in section 2.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from ..dsl.ast import Combiner
 from ..dsl.semantics import EvalEnv

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 _LETTERS = string.ascii_lowercase
 #: sample pool for '.' and negated classes; includes delimiter

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple, Union
 import json
 
 from ...shell.command import Command
-from ..dsl.ast import Combiner
 from ..dsl.parser import parse_combiner
 from ..inputgen.preprocess import seed_synthetic_files
 from .composite import CompositeCombiner

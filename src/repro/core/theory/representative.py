@@ -5,7 +5,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from ..dsl.ast import (
     Add,

@@ -50,7 +50,6 @@ from .local import LocalCluster
 from .nodepool import (
     DEFAULT_CAPACITY,
     DEFAULT_HEARTBEAT_TIMEOUT,
-    EXECUTOR_ROLE,
     NODE_DEAD,
     NODE_LIVE,
     NodeInfo,

@@ -46,6 +46,12 @@ class TransportError(RuntimeError):
     """The controller could not be reached (retryable)."""
 
 
+def _backoff(failures: int) -> float:
+    """Seconds to sleep after the ``failures``-th consecutive
+    transport failure."""
+    return min(1.0, 0.05 * (2 ** failures))
+
+
 class LocalTransport:
     """Direct calls into an in-process controller's control plane."""
 
@@ -182,7 +188,7 @@ class ExecutorAgent:
                 failures += 1
                 if failures >= self.max_failures:
                     return
-                time.sleep(min(1.0, 0.05 * (2 ** failures)))
+                time.sleep(_backoff(failures))
                 continue
             failures = 0
             if batch is None:
@@ -238,11 +244,17 @@ class ExecutorAgent:
     def _complete(self, task: dict, output: Optional[str] = None,
                   error: Optional[str] = None,
                   seconds: float = 0.0) -> None:
-        try:
-            self.transport.complete(self.node_id, task["task_id"],
-                                    output=output, error=error,
-                                    seconds=seconds)
-        except TransportError:
-            # the result is lost with us; the controller will retry or
-            # speculate the task elsewhere
-            self.tasks_errored += 1
+        # a lost result must not strand the lease: this node keeps
+        # pulling (every pull is a heartbeat), so the controller would
+        # never reassign the task.  Completion is keyed by task id and a
+        # duplicate is answered ``accepted: False``, so re-sending is safe.
+        for failures in range(1, self.max_failures + 1):
+            try:
+                self.transport.complete(self.node_id, task["task_id"],
+                                        output=output, error=error,
+                                        seconds=seconds)
+                return
+            except TransportError:
+                if failures < self.max_failures:
+                    time.sleep(_backoff(failures))
+        self.tasks_errored += 1

@@ -185,7 +185,7 @@ class ShardPlanner:
     """Chunk decomposition + preferred placement for one cluster size.
 
     The chunk count scales with the cluster — ``slots_per_node`` chunks
-    per live node, bounded exactly like the work-stealing decomposition
+    per live node, bounded exactly like the ``stealing`` decomposition
     (at most ``oversplit`` per slot, never below the minimum chunk
     size) — so adding nodes adds parallelism instead of slicing the
     same ``k`` chunks thinner.  Synthesized combiners are insensitive

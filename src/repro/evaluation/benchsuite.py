@@ -348,7 +348,7 @@ def _stage_scheduler(ctx: _SuiteContext) -> Dict[str, Any]:
     skew = measure_skew(k=opts.k, n_heavy_lines=opts.skew_heavy_lines,
                         seed=opts.seed, config=ctx.config, cache=ctx.cache,
                         cost_repeats=opts.cost_repeats)
-    # a *real* work-stealing run (threads, speculation on) over the
+    # a *real* ``stealing`` run (threads, speculation on) over the
     # same skewed shape, to collect live SchedulerStats counters
     data = skewed_lines(opts.skew_heavy_lines, seed=opts.seed)
     pp = parallelize("cat skew.txt | sort | uniq -c", k=opts.k,

@@ -20,8 +20,9 @@ for multi-core hosts.
 The model is scheduler-aware: a parallel stage's charge is the
 **makespan** of placing its measured chunk costs on ``k`` workers
 under the plan's chunk scheduler — one chunk per worker under
-``static``, online greedy placement of the finer adaptive
-decomposition (plus a per-task dispatch overhead) under ``stealing``.
+``static``, online greedy placement of the finer ``stealing`` split
+(plus a per-task dispatch overhead) — which is what submitting that
+split to a ``k``-worker pool's shared queue does.
 The optimizer's selector prices both placements to decide
 ``PipelinePlan.scheduler``.
 
@@ -47,9 +48,8 @@ from ..parallel.scheduler import (
     DEFAULT_TASK_OVERHEAD,
     STATIC,
     STEALING,
-    stealing_chunk_count,
 )
-from ..parallel.streaming import combine_is_cheap
+from ..parallel.streaming import stealing_split_count
 from ..parallel.walker import StageRun, run_materialized
 
 #: modeled network link between controller and executors: loopback-ish
@@ -65,10 +65,10 @@ def modeled_makespan(chunk_seconds: Sequence[float], workers: int,
 
     ``static`` mirrors the fixed round-robin assignment (with the
     canonical one-chunk-per-worker split this is simply the longest
-    chunk); ``stealing`` mirrors the work-stealing runtime as online
+    chunk); ``stealing`` is the worker pool's shared queue as online
     greedy list scheduling — each task, in stream order, lands on the
     worker that frees up first — and charges ``task_overhead`` per task
-    for the deque/steal bookkeeping, which is what makes a fine
+    for the dispatch hand-off, which is what makes a fine
     decomposition of a tiny input *lose* to static.
     """
     workers = max(1, workers)
@@ -188,8 +188,8 @@ def simulate_plan(plan: PipelinePlan, k: int,
     """Execute a compiled plan chunk-by-chunk with per-chunk timing.
 
     ``scheduler`` defaults to the plan's own; under ``stealing`` each
-    new decomposition is split into the finer chunk count the adaptive
-    splitter targets (where the consuming combiner permits it) and
+    new decomposition is split into the finer chunk count the runtime
+    uses (:func:`~repro.parallel.streaming.stealing_split_count`) and
     parallel stages are priced by greedy placement plus per-task
     overhead — see :func:`modeled_makespan`.  ``n_chunks`` pins the
     decomposition of every fresh split (the distrib scaling gate uses
@@ -206,9 +206,8 @@ def simulate_plan(plan: PipelinePlan, k: int,
     def chunk_count(index: int, nbytes: int) -> int:
         if n_chunks is not None:
             return n_chunks
-        if scheduler == STEALING and combine_is_cheap(plan.stages, index):
-            return stealing_chunk_count(nbytes, k)
-        return k
+        return stealing_split_count(plan.stages, index, k, nbytes,
+                                    scheduler) or k
 
     def map_chunks(stage: StagePlan, _index: int,
                    chunks: List[str]) -> List[str]:

@@ -22,7 +22,6 @@ overlap accounting (:func:`streaming_table`).
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 

@@ -36,8 +36,6 @@ from .planner import (
 from .runner import PROCESSES, RunnerPool, SERIAL, StageRunner, THREADS
 from .scheduler import (
     AUTO,
-    AdaptiveSplitter,
-    ChunkScheduler,
     FaultPolicy,
     InjectedFault,
     NodeKilled,
@@ -60,8 +58,7 @@ from .streaming import (
 )
 
 __all__ = [
-    "AUTO", "AdaptiveSplitter", "BARRIER", "ChunkScheduler",
-    "DistribStats", "FaultPolicy", "InjectedFault",
+    "AUTO", "BARRIER", "DistribStats", "FaultPolicy", "InjectedFault",
     "KWayCombiner", "NodeKilled",
     "PARALLEL", "PROCESSES", "ParallelPipeline", "PipelinePlan",
     "RERUN_REDUCTION_THRESHOLD", "RunStats", "RunnerPool", "SCHEDULERS",

@@ -17,7 +17,11 @@ Two data planes share one compiled plan:
 
 Both planes compute byte-identical output: the streaming engine makes
 the same splitting/combining decisions at the same stage boundaries,
-it just overlaps the work in time.
+it just overlaps the work in time.  Both dispatch every parallel
+stage's chunks through the same :class:`~repro.parallel.scheduler.
+TaskSet` onto the runner's worker pool; the ``stealing`` schedule only
+changes how finely a stage's input is split
+(:func:`~repro.parallel.streaming.stealing_split_count`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .planner import PipelinePlan, StagePlan
 from .runner import SERIAL, StageRunner
 from .scheduler import (
     AUTO,
-    ChunkScheduler,
     FaultPolicy,
     STATIC,
     STEALING,
@@ -44,7 +47,8 @@ from .streaming import (
     StageTrace,
     overlap_seconds,
     run_chunk_pipelined,
-    starts_adaptive,
+    stage_tasks,
+    stealing_split_count,
 )
 from .walker import StageRun, run_materialized
 
@@ -162,7 +166,7 @@ class RunStats:
     optimized: bool = False
     #: rewrite-engine rules applied to the executed pipeline
     rewrites: int = 0
-    #: chunk-scheduler behavior (steals/retries/speculation counters)
+    #: chunk-scheduler behavior (task/retry/speculation counters)
     scheduler: Optional[SchedulerStats] = None
     #: multi-node dispatch behavior (None for single-process runs)
     distrib: Optional[DistribStats] = None
@@ -311,41 +315,26 @@ class ParallelPipeline:
         """Execute stage-by-stage with full materialization between stages."""
         stages = self.plan.stages
         stats = self._new_stats(BARRIER)
-        sched_stats = stats.scheduler
-        plain_static = (self.scheduler == STATIC
-                        and self.fault_policy is None
-                        and not self.scheduler_config.speculate)
-
-        def adaptive(index: int) -> bool:
-            return starts_adaptive(stages, index, self.scheduler)
 
         def run_all(runner: StageRunner) -> str:
+            # one thread of control has nothing to balance
+            scheduler = STATIC if runner.engine == SERIAL else self.scheduler
+
+            def chunk_count(index: int, nbytes: int) -> int:
+                return stealing_split_count(stages, index, self.k, nbytes,
+                                            scheduler) or self.k
+
             def map_chunks(stage: StagePlan, index: int,
                            chunks: List[str]) -> List[str]:
-                if plain_static:
-                    # fast path: no retries/speculation/stealing to
-                    # coordinate, so map the chunks straight onto the
-                    # engine's worker pool
-                    sched_stats.bump("tasks", len(chunks))
-                    return runner.run_stage(stage.command, chunks)
-                chunk_scheduler = ChunkScheduler(
-                    lambda chunk, delay: runner.call_timed(
-                        stage.command, chunk, delay),
-                    stage_index=index,
-                    workers=1 if self.engine == SERIAL else self.k,
-                    config=self.scheduler_config,
-                    fault_policy=self.fault_policy, stats=sched_stats)
-                if adaptive(index):
-                    # the walker handed over the unsplit stream: chunks
-                    # start small and grow toward the per-task latency
-                    # target measured online
-                    return chunk_scheduler.run_stream(chunks[0], self.k)
-                return chunk_scheduler.run_chunks(chunks)
+                # the whole chunk list goes to the pool at once; drained
+                # in chunk order
+                return list(stage_tasks(
+                    runner, stage, index, self.scheduler_config,
+                    self.fault_policy, stats.scheduler).in_order(chunks))
 
             return run_materialized(
                 self.plan, self.plan.pipeline._initial_stream(data),
-                lambda index, _nbytes: 1 if adaptive(index) else self.k,
-                map_chunks, stats.record_stage)
+                chunk_count, map_chunks, stats.record_stage)
 
         start = time.perf_counter()
         output = self._with_runner(run_all)

@@ -13,7 +13,7 @@ import concurrent.futures as cf
 import hashlib
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..shell.command import Command
 from ..unixsim import ExecContext, build
@@ -79,7 +79,9 @@ class StageRunner:
     """Runs one command over many chunks, possibly in parallel.
 
     A single runner (and its worker pool) is shared across all stages
-    of a pipeline execution, so pool startup cost is paid once.
+    of a pipeline execution, so pool startup cost is paid once.  The
+    pool's shared FIFO queue is the chunk balancer: whichever worker
+    frees up first takes the next submitted chunk.
     """
 
     def __init__(self, engine: str = SERIAL, max_workers: int = 1,
@@ -118,18 +120,6 @@ class StageRunner:
 
     # -- execution -----------------------------------------------------------
 
-    def run_stage(self, command: Command, chunks: Sequence[str]) -> List[str]:
-        """Apply ``command`` to every chunk, returning outputs in order."""
-        if len(chunks) == 1 or self.engine == SERIAL:
-            return [command.run(c) for c in chunks]
-        pool = self._ensure_pool()
-        if self.engine == PROCESSES and command.backend == "sim":
-            futures = [pool.submit(_run_chunk, command.argv, c)
-                       for c in chunks]
-        else:
-            futures = [pool.submit(command.run, c) for c in chunks]
-        return [f.result() for f in futures]
-
     def submit_timed(self, command: Command, chunk: str, delay: float = 0.0
                      ) -> "cf.Future[Tuple[str, float, float]]":
         """Dispatch one chunk, resolving to ``(output, start, end)``.
@@ -139,7 +129,9 @@ class StageRunner:
         system-wide on Linux, so intervals from process workers are
         comparable with the parent's.  The streaming data plane uses
         this to account per-stage overlap.  ``delay`` is injected
-        straggler latency (fault testing) applied in the worker.
+        straggler latency (fault testing) applied in the worker.  Under
+        ``serial`` the chunk runs inline (no pool is ever created) and
+        the future comes back completed.
         """
         if self.engine == SERIAL:
             future: cf.Future = cf.Future()
@@ -152,16 +144,6 @@ class StageRunner:
         if self.engine == PROCESSES and command.backend == "sim":
             return pool.submit(_run_chunk_timed, command.argv, chunk, delay)
         return pool.submit(_timed_call, command.run, chunk, delay)
-
-    def call_timed(self, command: Command, chunk: str, delay: float = 0.0
-                   ) -> Tuple[str, float, float]:
-        """Synchronous :meth:`submit_timed` — the chunk scheduler's hook.
-
-        Work-stealing coordinator threads block here; actual compute
-        still happens in the engine's worker pool (or inline under
-        ``serial``), so the pool keeps bounding total concurrency.
-        """
-        return self.submit_timed(command, chunk, delay).result()
 
 
 class RunnerPool:

@@ -43,8 +43,10 @@ overlap); ``threads`` / ``processes`` hand back *pending* ones, so
 while a stage pulls its next input chunk up to ``k`` of its own chunks
 are computing in the shared worker pool — that window is both the
 cross-stage overlap and the back-pressure (at most ``k`` undelivered
-chunks per stage), and the pool keeps total compute concurrency bounded
-by ``k`` across the whole pipeline.  A stage that needs no more input
+chunks per stage; only the stage that starts a ``stealing``
+decomposition submits all of it — its input is materialized anyway),
+and the pool keeps total compute concurrency bounded by ``k`` across
+the whole pipeline.  A stage that needs no more input
 closes its upstream generator; a stage error is an ordinary exception
 propagating up the chain.
 
@@ -57,7 +59,6 @@ predecessor's — genuinely concurrent compute, not just co-residency.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -66,13 +67,13 @@ from ..unixsim.sed_cmd import SedQuit
 from .planner import PipelinePlan, StagePlan
 from .runner import SERIAL, StageRunner
 from .scheduler import (
-    ChunkScheduler,
     FaultPolicy,
     STATIC,
     STEALING,
     SchedulerConfig,
     SchedulerStats,
     TaskSet,
+    stealing_chunk_count,
 )
 from .splitter import split_stream
 from .walker import combine_outputs, input_is_chunked
@@ -110,8 +111,8 @@ def combine_is_cheap(stages: Sequence["StagePlan"], index: int) -> bool:
     k-way fast paths; a sequential join is a plain concat): the generic
     pairwise fold re-reads the accumulated stream once per chunk, so
     handing it more chunks than workers trades O(chunks * bytes)
-    combine work for no extra parallelism.  The work-stealing
-    scheduler's adaptive splitter obeys the same predicate.
+    combine work for no extra parallelism.  The ``stealing``
+    schedule's finer split obeys the same predicate.
     """
     j = index
     while j < len(stages) and stages[j].parallel and stages[j].eliminated:
@@ -131,6 +132,21 @@ def split_count(stages: Sequence["StagePlan"], index: int, k: int,
     if not combine_is_cheap(stages, index):
         return k
     return stream_chunk_count(nbytes, k)
+
+
+def stealing_split_count(stages: Sequence["StagePlan"], index: int, k: int,
+                         nbytes: int, scheduler: str) -> Optional[int]:
+    """Chunk count of the finer split a ``stealing`` schedule starts at
+    stage ``index``, or ``None`` where the caller's static count applies.
+
+    The one place the schedule turns into a decomposition: both data
+    planes run it and the cost model prices it.  A consumer that
+    combines expensively keeps the static count under either schedule
+    (see :func:`combine_is_cheap`).
+    """
+    if scheduler == STEALING and combine_is_cheap(stages, index):
+        return stealing_chunk_count(nbytes, k)
+    return None
 
 
 def _gather_prefix(chunks: Iterator[str], limit: int,
@@ -236,18 +252,6 @@ ChunkCount = Callable[[int, int], int]
 ChunkMapper = Callable[[StagePlan, int, Iterator[str]], Iterator[str]]
 
 
-def starts_adaptive(stages: Sequence[StagePlan], index: int,
-                    scheduler: str) -> bool:
-    """Does stage ``index`` start a work-stealing decomposition?
-
-    Only a stage that receives an unsplit stream owns a whole chunk-task
-    pool to carve adaptively, and only where the consumer of that
-    decomposition combines cheaply (see :func:`combine_is_cheap`).
-    """
-    return (scheduler == STEALING and not input_is_chunked(stages, index)
-            and combine_is_cheap(stages, index))
-
-
 def stage_outputs(stages: Sequence[StagePlan], index: int,
                   trace: StageTrace, upstream: Iterator[str],
                   chunk_count: ChunkCount,
@@ -313,6 +317,17 @@ def stage_outputs(stages: Sequence[StagePlan], index: int,
         upstream.close()
 
 
+def stage_tasks(runner: StageRunner, stage: StagePlan, index: int,
+                config: SchedulerConfig,
+                fault_policy: Optional[FaultPolicy],
+                stats: SchedulerStats) -> TaskSet:
+    """The dispatcher of stage ``index``'s chunk tasks onto ``runner``."""
+    return TaskSet(
+        lambda chunk, delay: runner.submit_timed(stage.command, chunk, delay),
+        stage_index=index, config=config, fault_policy=fault_policy,
+        stats=stats)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -331,12 +346,12 @@ def run_chunk_pipelined(
 
     Returns the final output stream and one :class:`StageTrace` per
     stage (busy intervals, bytes in/out, chunk counts) for the
-    executor to fold into :class:`RunStats`.  ``scheduler`` selects the
-    chunk-task placement for decomposition-starting parallel stages
-    (static split vs work stealing); the fault-tolerance layer
+    executor to fold into :class:`RunStats`.  ``scheduler`` selects how
+    finely a decomposition-starting parallel stage splits its input
+    (static vs the finer ``stealing`` split); the fault-tolerance layer
     (``fault_policy`` injection, bounded retry, speculation per
     ``scheduler_config``) applies to every parallel chunk task under
-    both schedulers, and its counters land in ``scheduler_stats``.
+    both schedules, and its counters land in ``scheduler_stats``.
 
     Every engine chains the same :func:`stage_outputs` generators on
     the calling thread (a pull model — a stage that stops pulling *is*
@@ -349,75 +364,25 @@ def run_chunk_pipelined(
         else SchedulerStats()
     stages = plan.stages
     traces = [StageTrace() for _ in stages]
-    serial = runner.engine == SERIAL
-
-    def adaptive(index: int) -> bool:
-        # one thread of control has nothing to steal from
-        return not serial and starts_adaptive(stages, index, scheduler)
+    if runner.engine == SERIAL:
+        scheduler = STATIC   # one thread of control has nothing to balance
 
     def chunk_count(index: int, nbytes: int) -> int:
-        # an adaptive stage is handed its stream whole and carves it
-        return 1 if adaptive(index) else split_count(stages, index, k,
-                                                     nbytes)
-
-    def in_order(stage: StagePlan, index: int,
-                 chunks: Iterator[str]) -> Iterator[str]:
-        """Windowed dispatch: up to ``k`` chunks in flight, outputs in
-        submission order.  The window is the pipeline's overlap (its
-        futures compute in the pool while downstream stages run on the
-        chunks already yielded) and its back-pressure (no chunk is
-        pulled from upstream while ``k`` are undelivered).  Under
-        ``serial`` every future arrives completed, so this is the
-        inline loop with bounded retry."""
-        trace = traces[index]
-        tasks = TaskSet(
-            lambda chunk, delay: runner.submit_timed(stage.command, chunk,
-                                                     delay),
-            stage_index=index, config=config, fault_policy=fault_policy,
-            stats=stats)
-        pending: deque = deque()
-
-        def drain_one() -> str:
-            out, t0, t1 = tasks.result(pending.popleft())
-            trace.record(t0, t1)
-            return out
-
-        try:
-            for ci, chunk in enumerate(chunks):
-                pending.append(tasks.submit(ci, chunk))
-                # drain in submission order so the downstream stage sees
-                # the barrier engine's chunk sequence: eagerly when the
-                # head is already done, forcibly to keep at most k chunks
-                # in flight
-                while pending and (pending[0][3].done()
-                                   or len(pending) >= max(1, k)):
-                    yield drain_one()
-            while pending:
-                yield drain_one()
-        finally:
-            # closed early or unwound by an error: nobody will read the
-            # queued chunks, so keep them off the shared pool
-            for entry in pending:
-                entry[3].cancel()
-
-    def stealing(stage: StagePlan, index: int,
-                 chunks: Iterator[str]) -> Iterator[str]:
-        """Work stealing: the whole chunk-task pool exists here, so
-        carve the stream adaptively and let idle workers steal; outputs
-        are released in index order as the completed prefix grows,
-        preserving chunk pipelining."""
-        chunk_scheduler = ChunkScheduler(
-            lambda chunk, delay: runner.call_timed(stage.command, chunk,
-                                                   delay),
-            stage_index=index, workers=max(1, k), config=config,
-            fault_policy=fault_policy, stats=stats)
-        yield from chunk_scheduler.iter_stream("".join(chunks), k)
-        traces[index].intervals.extend(chunk_scheduler.intervals)
+        return (stealing_split_count(stages, index, k, nbytes, scheduler)
+                or split_count(stages, index, k, nbytes))
 
     def map_chunks(stage: StagePlan, index: int,
                    chunks: Iterator[str]) -> Iterator[str]:
-        mapper = stealing if adaptive(index) else in_order
-        return mapper(stage, index, chunks)
+        """In-order dispatch with up to ``k`` chunks in flight; the
+        stage that starts a ``stealing`` decomposition submits all of
+        it, so the pool's queue — not the window — decides which worker
+        takes the next chunk.  Under ``serial`` every future arrives
+        completed, so this is the inline loop with bounded retry."""
+        tasks = stage_tasks(runner, stage, index, config, fault_policy,
+                            stats)
+        whole = scheduler == STEALING and not input_is_chunked(stages, index)
+        return tasks.in_order(chunks, None if whole else max(1, k),
+                              traces[index].record)
 
     # a generator, not iter(): stage 0 closes its upstream like any other
     current: Iterator[str] = (chunk for chunk in (initial,))

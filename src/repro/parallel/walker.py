@@ -14,8 +14,8 @@ different *mapper*:
 
 ``map_chunks(stage, index, chunks) -> outputs`` is the seam a new chunk
 backend plugs into: it decides where and how the stage command runs
-over the chunks (worker pool, work-stealing scheduler, executor nodes,
-timed inline loop) and must return the outputs in chunk order.  The
+over the chunks (worker pool, executor nodes, timed inline loop) and
+must return one output per chunk, in chunk order.  The
 streaming plane's per-stage generator
 (:func:`repro.parallel.streaming.stage_outputs`) makes the same
 decisions over chunk iterators instead of lists.
@@ -73,11 +73,9 @@ def run_materialized(
     """Run ``plan`` stage by stage over ``initial``; returns the output.
 
     ``chunk_count(index, nbytes)`` sizes the decomposition a parallel
-    stage starts when its input arrives unsplit.  A mapper may return
-    more outputs than it was given chunks (the work-stealing scheduler
-    carves its one input chunk adaptively); the outputs *are* the
-    decomposition from there on.  ``observe`` is called once per stage,
-    in order, after the stage finished.
+    stage starts when its input arrives unsplit; ``map_chunks`` returns
+    one output per chunk.  ``observe`` is called once per stage, in
+    order, after the stage finished.
     """
     stream: str = initial
     chunks: Optional[List[str]] = None   # set while a decomposition flows
@@ -101,7 +99,7 @@ def run_materialized(
             t0 = time.perf_counter()
             outputs = map_chunks(stage, index, chunks)
             map_seconds = time.perf_counter() - t0
-            n_chunks = len(outputs)
+            n_chunks = len(chunks)
             if stage.eliminated:
                 chunks = outputs
             else:

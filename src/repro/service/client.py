@@ -24,7 +24,12 @@ import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
 
-from .protocol import JobRequest, JobResult, ValidationError
+from .protocol import (
+    JobRequest,
+    JobResult,
+    MAX_WAIT_SECONDS,
+    ValidationError,
+)
 
 DEFAULT_PORT = 7070
 DEFAULT_TIMEOUT = 60.0
@@ -178,7 +183,7 @@ class ServiceClient:
             if remaining <= 0:
                 raise TimeoutError(f"job {job_id} not done in time")
             result = self.result(job_id, wait=True,
-                                 timeout=min(remaining, 30.0),
+                                 timeout=min(remaining, MAX_WAIT_SECONDS),
                                  include_output=include_output)
             if result.done:
                 return result

@@ -44,6 +44,10 @@ DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
 #: parallelism a single job may request from the shared pool budget
 MAX_JOB_K = 64
 
+#: longest a handler thread blocks for one request (job ``?wait=1``,
+#: executor ``pull``); clients re-poll past it
+MAX_WAIT_SECONDS = 30.0
+
 
 class ValidationError(ValueError):
     """A request that must be rejected at admission time."""

@@ -10,7 +10,9 @@ and the HTTP front end maps it onto a local socket:
                             validation failure, 429 when saturated or
                             over quota, 503 while draining for shutdown
 ``GET /v1/jobs/<id>``       job result; ``?wait=1&timeout=30`` blocks
-                            until done, ``?output=0`` omits the stream
+                            until done (at most 30 s per request; 400
+                            for a non-finite timeout), ``?output=0``
+                            omits the stream
 ``GET /v1/status``          scheduler / cache / throughput counters
 ``GET /metrics``            the same counters, flat ``name value`` text
 ``GET /v1/healthz``         liveness probe
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,6 +73,7 @@ from .protocol import (
     JOB_RUNNING,
     JobRequest,
     JobResult,
+    MAX_WAIT_SECONDS,
     ValidationError,
     new_job_id,
 )
@@ -563,7 +567,10 @@ def _make_handler(service: ReproService):
             job_id = url.path[len("/v1/jobs/"):]
             qs = parse_qs(url.query)
             wait = qs.get("wait", ["0"])[0] not in ("0", "false", "")
-            timeout = float(qs.get("timeout", ["30"])[0])
+            timeout = float(qs.get("timeout", [MAX_WAIT_SECONDS])[0])
+            if not math.isfinite(timeout):
+                raise ValueError(f"timeout must be finite, got {timeout}")
+            timeout = min(timeout, MAX_WAIT_SECONDS)
             include_output = qs.get("output", ["1"])[0] \
                 not in ("0", "false", "")
             result = service.result(job_id, wait=wait, timeout=timeout)
@@ -617,7 +624,8 @@ def _make_handler(service: ReproService):
                     tasks = service.board.pull(
                         node_id,
                         max_tasks=body.get("max_tasks"),
-                        wait=min(float(body.get("wait", 0.0)), 30.0))
+                        wait=min(float(body.get("wait", 0.0)),
+                                 MAX_WAIT_SECONDS))
                 except UnknownNode:
                     return self._json(200, {"reregister": True})
                 if tasks is None:

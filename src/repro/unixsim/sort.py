@@ -11,7 +11,7 @@ locale (bytewise), matching the paper's ``LC_COLLATE=C`` setup.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .base import ExecContext, SimCommand, UsageError, lines_of, unlines

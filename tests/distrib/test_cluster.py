@@ -7,9 +7,10 @@ integration tests for the whole ``repro.distrib`` stack.
 
 from __future__ import annotations
 
-import pytest
+import time
 
 from repro.distrib import DISTRIBUTED, LocalCluster
+from repro.distrib.executor import TransportError
 from repro.parallel import BARRIER, FaultPolicy
 
 from .conftest import make_data
@@ -74,6 +75,31 @@ def test_chunk_kill_consumes_retries_not_correctness(pp, serial_output):
     assert policy.injected_kills == 1
     assert stats.distrib.retries == 1
     assert stats.distrib.failures == 1
+
+
+def test_lost_result_post_is_resent(pp, serial_output):
+    """The node that lost a result keeps pulling, so its lease never
+    expires and nobody else retries the task: the agent itself must
+    re-send the completion instead of stalling the stage."""
+    cluster = LocalCluster(nodes=2, k=2, min_chunk_bytes=64,
+                           stage_timeout=20.0)
+    deliver = cluster.transport.complete
+    posts = []
+
+    def flaky_complete(*args, **kwargs):
+        posts.append(args)
+        if len(posts) == 1:
+            raise TransportError("connection reset before the reply")
+        return deliver(*args, **kwargs)
+
+    cluster.transport.complete = flaky_complete
+    start = time.monotonic()
+    with cluster:
+        assert cluster.run_plan(pp.plan) == serial_output
+        stats = cluster.last_stats
+    assert time.monotonic() - start < 10.0   # well inside the stage timeout
+    assert stats.distrib.failures == 0
+    assert sum(agent.tasks_errored for agent in cluster.agents) == 0
 
 
 def test_single_node_cluster_still_exact(pp, serial_output):

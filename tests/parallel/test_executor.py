@@ -3,7 +3,17 @@
 import pytest
 
 from repro import parallelize
-from repro.parallel import PROCESSES, SERIAL, THREADS
+from repro.evaluation.costmodel import simulate_plan
+from repro.parallel import (
+    FaultPolicy,
+    PROCESSES,
+    SERIAL,
+    STEALING,
+    StageRunner,
+    THREADS,
+    run_chunk_pipelined,
+)
+from repro.parallel.scheduler import MIN_ADAPTIVE_CHUNK_BYTES, STEAL_OVERSPLIT
 from repro.shell import Pipeline
 from repro.unixsim import ExecContext
 
@@ -83,3 +93,56 @@ class TestStats:
     def test_invalid_k(self, fast_config):
         with pytest.raises(ValueError):
             parallelize("sort", k=0, config=fast_config)
+
+
+class TestStealingSchedule:
+    """``stealing`` is a finer split on the pool's shared queue."""
+
+    K = 2
+    TEXT = "cat in.txt | tr A-Z a-z | sort | uniq -c"
+    #: large enough that the decomposition reaches its cap
+    DATA = "".join(f"Word {i % 97} of the Stream\n" for i in range(
+        STEAL_OVERSPLIT * K * MIN_ADAPTIVE_CHUNK_BYTES // 20))
+
+    def _pp(self, tiny_config, **kwargs):
+        return parallelize(self.TEXT, k=self.K, files={"in.txt": self.DATA},
+                           rewrite=False, config=tiny_config,
+                           scheduler=STEALING, **kwargs)
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_runtime_runs_the_decomposition_the_selector_priced(
+            self, streaming, tiny_config):
+        pp = self._pp(tiny_config, engine=THREADS, streaming=streaming)
+        priced = simulate_plan(pp.plan, self.K, scheduler=STEALING)
+        assert pp.run() == priced.output
+        assert [s.chunks for s in pp.last_stats.stages] \
+            == [len(s.chunk_seconds) for s in priced.stages]
+        assert max(s.chunks for s in pp.last_stats.stages) \
+            == STEAL_OVERSPLIT * self.K
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_serial_engine_keeps_the_static_split(self, streaming,
+                                                  tiny_config):
+        pp = self._pp(tiny_config, engine=SERIAL, streaming=streaming)
+        pp.run()
+        assert max(s.chunks for s in pp.last_stats.stages) == self.K
+
+    def test_delayed_chunk_does_not_idle_the_other_workers(self,
+                                                           tiny_config):
+        """The stage that starts the decomposition submits all of it, so
+        while chunk 1 straggles every later chunk runs on the free
+        worker instead of waiting behind the head of the line."""
+        pp = self._pp(tiny_config)
+        first = next(i for i, s in enumerate(pp.plan.stages) if s.parallel)
+        policy = FaultPolicy(delay={(first, 1): 0.3})
+        with StageRunner(engine=THREADS, max_workers=self.K) as runner:
+            output, traces = run_chunk_pipelined(
+                pp.plan, self.K, runner,
+                pp.plan.pipeline._initial_stream(None),
+                scheduler=STEALING, fault_policy=policy)
+        assert output == pp.plan.pipeline.run()
+        assert policy.injected_delays == 1
+        # intervals are recorded at delivery, i.e. in chunk order
+        ends = [t1 for _, t1 in traces[first].intervals[:traces[first].chunks]]
+        assert len(ends) >= 2 * self.K
+        assert all(end < ends[1] for end in ends[2:])

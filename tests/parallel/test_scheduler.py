@@ -1,13 +1,12 @@
-"""Unit tests for the work-stealing chunk scheduler and adaptive splitter."""
+"""Unit tests for the chunk dispatcher (TaskSet) and the stealing split."""
 
+import concurrent.futures as cf
 import threading
 import time
 
 import pytest
 
 from repro.parallel.scheduler import (
-    AdaptiveSplitter,
-    ChunkScheduler,
     FaultPolicy,
     InjectedFault,
     STEALING,
@@ -18,59 +17,24 @@ from repro.parallel.scheduler import (
 )
 
 
-def _timed(fn):
-    def run(chunk, delay=0.0):
-        if delay:
-            time.sleep(delay)
-        t0 = time.perf_counter()
-        out = fn(chunk)
-        return out, t0, time.perf_counter()
-    return run
+def _timed(fn, chunk, delay=0.0):
+    if delay:
+        time.sleep(delay)
+    t0 = time.perf_counter()
+    out = fn(chunk)
+    return out, t0, time.perf_counter()
 
 
-# -- AdaptiveSplitter --------------------------------------------------------
+@pytest.fixture
+def pool():
+    with cf.ThreadPoolExecutor(max_workers=4) as executor:
+        yield executor
 
 
-def test_adaptive_splitter_roundtrips():
-    data = "".join(f"line number {i}\n" for i in range(5000))
-    sp = AdaptiveSplitter(data, k=4)
-    pieces = []
-    while True:
-        chunk = sp.next_chunk()
-        if chunk is None:
-            break
-        pieces.append(chunk)
-    assert "".join(pieces) == data
-    assert all(p.endswith("\n") for p in pieces)
-    assert all(p for p in pieces)  # never an empty chunk
-    assert len(pieces) <= SchedulerConfig().oversplit * 4
-
-
-def test_adaptive_splitter_grows_toward_target():
-    data = ("x" * 99 + "\n") * 5000  # 500 KB
-    cfg = SchedulerConfig(target_chunk_seconds=0.1)
-    sp = AdaptiveSplitter(data, k=4, config=cfg)
-    first = sp.next_chunk()
-    # feedback: tiny chunks are fast, so sizing should scale up
-    sp.observe(len(first), 0.001)
-    second = sp.next_chunk()
-    assert len(second) > len(first)
-
-
-def test_adaptive_splitter_handles_unterminated_tail():
-    data = "a\nb\nc"  # no trailing newline
-    sp = AdaptiveSplitter(data, k=2)
-    pieces = []
-    while (c := sp.next_chunk()) is not None:
-        pieces.append(c)
-    assert "".join(pieces) == data
-
-
-def test_adaptive_splitter_single_huge_line():
-    data = "x" * 100_000  # newline-free
-    sp = AdaptiveSplitter(data, k=4)
-    assert sp.next_chunk() == data
-    assert sp.next_chunk() is None
+def _tasks(pool, fn, **kwargs):
+    """A TaskSet dispatching ``fn`` onto ``pool``, like a StageRunner."""
+    return TaskSet(lambda chunk, delay: pool.submit(_timed, fn, chunk, delay),
+                   **kwargs)
 
 
 def test_stealing_chunk_count_bounds():
@@ -80,73 +44,85 @@ def test_stealing_chunk_count_bounds():
     assert stealing_chunk_count(10**9, 4) == 32  # capped at oversplit * k
 
 
-# -- ChunkScheduler ----------------------------------------------------------
+# -- TaskSet.in_order over a thread pool -------------------------------------
 
 
-def test_run_chunks_preserves_order_any_completion_order():
-    stats = SchedulerStats(name=STEALING)
-    sched = ChunkScheduler(_timed(lambda c: c.upper()), workers=4,
-                           stats=stats)
-    chunks = [f"chunk-{i}\n" for i in range(23)]
-    assert sched.run_chunks(list(chunks)) == [c.upper() for c in chunks]
-    assert stats.tasks == 23
-
-
-def test_run_stream_concatenation_invariant():
-    data = "".join(f"{i}\n" for i in range(20000))
-    sched = ChunkScheduler(_timed(lambda c: c), workers=4)
-    outputs = sched.run_stream(data, 4)
-    assert "".join(outputs) == data
-
-
-def test_run_stream_empty_input_runs_command_once():
-    sched = ChunkScheduler(_timed(lambda c: f"<{c}>"), workers=4)
-    assert sched.run_stream("", 4) == ["<>"]
-
-
-def test_steals_happen_under_skewed_task_costs():
+def test_in_order_preserves_order_any_completion_order(pool):
     stats = SchedulerStats(name=STEALING)
 
     def work(chunk):
-        if chunk.startswith("slow"):
-            time.sleep(0.05)
-        return chunk
+        # earlier chunks finish later
+        time.sleep(0.002 * (23 - int(chunk.split("-")[1])))
+        return chunk.upper()
 
-    sched = ChunkScheduler(_timed(work), workers=4, stats=stats)
-    # all slow tasks start on worker 0 (round-robin seeding of 4 deques)
-    chunks = [("slow" if i % 4 == 0 else "fast") + f"-{i}"
-              for i in range(16)]
-    out = sched.run_chunks(list(chunks))
-    assert out == chunks
-    assert stats.steals > 0
+    chunks = [f"chunk-{i}\n" for i in range(23)]
+    tasks = _tasks(pool, work, stats=stats)
+    assert list(tasks.in_order(chunks)) == [c.upper() for c in chunks]
+    assert stats.tasks == 23
 
 
-def test_retry_bounded_then_raises():
+def test_in_order_window_bounds_undelivered_chunks(pool):
+    pulled = []
+
+    def source():
+        for i in range(12):
+            pulled.append(i)
+            yield f"{i}\n"
+
+    outputs = _tasks(pool, lambda c: c).in_order(source(), window=3)
+    assert next(outputs) == "0\n"
+    # one delivered, at most ``window`` more in flight
+    assert len(pulled) <= 4
+    assert list(outputs) == [f"{i}\n" for i in range(1, 12)]
+
+
+def test_retry_bounded_then_raises(pool):
     stats = SchedulerStats()
     policy = FaultPolicy(kill={(0, 2): 99})  # chunk 2 always dies
-    sched = ChunkScheduler(_timed(lambda c: c), workers=2,
-                           config=SchedulerConfig(max_attempts=3),
-                           fault_policy=policy, stats=stats)
+    tasks = _tasks(pool, lambda c: c,
+                   config=SchedulerConfig(max_attempts=3),
+                   fault_policy=policy, stats=stats)
     with pytest.raises(InjectedFault):
-        sched.run_chunks(["a\n", "b\n", "c\n", "d\n"])
+        list(tasks.in_order(["a\n", "b\n", "c\n", "d\n"]))
     assert policy.injected_kills == 3      # three dispatches, all killed
     assert stats.retries == 2              # attempts 2 and 3 were retries
     assert stats.failures == 3
 
 
-def test_retry_recovers_and_counts():
+def test_retry_recovers_and_counts(pool):
     stats = SchedulerStats()
     policy = FaultPolicy(kill={(0, 1): 2})  # first two attempts fail
-    sched = ChunkScheduler(_timed(lambda c: c * 2), workers=2,
-                           config=SchedulerConfig(max_attempts=3),
-                           fault_policy=policy, stats=stats)
-    out = sched.run_chunks(["a\n", "b\n", "c\n"])
+    tasks = _tasks(pool, lambda c: c * 2,
+                   config=SchedulerConfig(max_attempts=3),
+                   fault_policy=policy, stats=stats)
+    out = list(tasks.in_order(["a\n", "b\n", "c\n"]))
     assert out == ["a\na\n", "b\nb\n", "c\nc\n"]
     assert stats.retries == 2 == policy.injected_kills
     assert stats.failures == 2
 
 
-def test_speculation_duplicates_straggler_and_wins():
+def test_drain_time_failure_is_retried(pool):
+    """A failure raised where the chunk runs (not at dispatch) surfaces
+    when the entry is drained and is re-dispatched."""
+    stats = SchedulerStats()
+    seen = []
+
+    def work(chunk):
+        seen.append(chunk)
+        if chunk == "b\n" and seen.count(chunk) == 1:
+            raise RuntimeError("worker died")
+        return chunk
+
+    tasks = _tasks(pool, work, stats=stats)
+    assert list(tasks.in_order(["a\n", "b\n", "c\n"])) \
+        == ["a\n", "b\n", "c\n"]
+    assert stats.failures == 1 and stats.retries == 1
+
+
+@pytest.mark.parametrize("straggler_at", [0, 3])
+def test_speculation_duplicates_straggler_and_wins(pool, straggler_at):
+    """Also with the straggler at the head of the line: its siblings'
+    durations are learned as they complete, not as they are drained."""
     stats = SchedulerStats(name=STEALING, speculate=True)
     attempts = {"n": 0}
     lock = threading.Lock()
@@ -163,10 +139,10 @@ def test_speculation_duplicates_straggler_and_wins():
     cfg = SchedulerConfig(speculate=True, speculation_factor=1.5,
                           speculation_min_samples=2,
                           speculation_min_seconds=0.02)
-    sched = ChunkScheduler(_timed(work), workers=4, config=cfg, stats=stats)
-    chunks = ["a", "b", "c", "straggler", "d", "e", "f", "g"]
+    chunks = ["a", "b", "c", "d", "e", "f", "g"]
+    chunks.insert(straggler_at, "straggler")
     t0 = time.perf_counter()
-    out = sched.run_chunks(list(chunks))
+    out = list(_tasks(pool, work, config=cfg, stats=stats).in_order(chunks))
     elapsed = time.perf_counter() - t0
     assert out == [c + "!" for c in chunks]
     assert stats.speculations >= 1
@@ -174,54 +150,60 @@ def test_speculation_duplicates_straggler_and_wins():
     assert elapsed < 0.9  # did not wait out the 1s original
 
 
-def test_iter_stream_emits_in_index_order():
-    data = "".join(f"{i}\n" for i in range(40000))
-    sched = ChunkScheduler(_timed(lambda c: c), workers=4)
-    emitted = list(sched.iter_stream(data, 4))
-    assert len(emitted) > 4
-    assert "".join(emitted) == data
-
-
-def test_iter_stream_complete_and_ordered_with_slow_consumer():
-    """Review-pinned: a briefly-blocking consumer must not let the
-    stream end with chunks unemitted or emitted out of index order
-    (emission happens in the consuming thread, prefix-ordered)."""
-    data = "".join(f"{i}-payload\n" for i in range(40000))
+def test_queued_chunks_are_not_mistaken_for_stragglers():
+    """A deep queue on a narrow pool: every chunk waits its turn far
+    longer than one chunk takes, and none of them is duplicated."""
+    stats = SchedulerStats(speculate=True)
+    cfg = SchedulerConfig(speculate=True, speculation_factor=5.0,
+                          speculation_min_samples=2,
+                          speculation_min_seconds=0.001)
 
     def work(chunk):
-        # skewed completion order: later chunks finish first
-        time.sleep(0.02 if chunk.startswith("0-") else 0.0)
+        time.sleep(0.01)
         return chunk
 
-    sched = ChunkScheduler(_timed(work), workers=4)
-    emitted = []
-    for out in sched.iter_stream(data, 4):
-        time.sleep(0.01)
-        emitted.append(out)
-    assert len(emitted) > 4
-    assert "".join(emitted) == data  # every chunk, in order
+    chunks = [f"{i}\n" for i in range(24)]
+    with cf.ThreadPoolExecutor(max_workers=2) as narrow:
+        out = list(_tasks(narrow, work, config=cfg,
+                          stats=stats).in_order(chunks))
+    assert out == chunks
+    assert stats.speculations == 0
 
 
-def test_closing_iter_stream_idles_the_workers():
-    data = "".join(f"{i}\n" for i in range(200000))   # ~32 chunk tasks
+def test_every_completion_is_learned_under_contention():
+    """Durations are appended from the pool's threads while the consumer
+    reads them: no completion may be lost."""
+    import sys
+
+    chunks = [f"{i}\n" for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cf.ThreadPoolExecutor(max_workers=8) as crowded:
+            tasks = _tasks(crowded, lambda c: c, config=SchedulerConfig(
+                speculate=True, speculation_factor=1e9))  # learn, never fire
+            assert list(tasks.in_order(chunks, window=16)) == chunks
+    finally:
+        sys.setswitchinterval(interval)
+    # the pool has shut down, so every done-callback has run
+    assert len(tasks._durations) == len(chunks)
+
+
+def test_closing_in_order_idles_the_workers():
     calls = []
 
     def work(chunk):
-        calls.append(len(chunk))
+        calls.append(chunk)
         time.sleep(0.02)
         return chunk
 
-    sched = ChunkScheduler(_timed(work), workers=4)
-    outputs = sched.iter_stream(data, 4)
-    first = next(outputs)
-    assert data.startswith(first)
-    outputs.close()             # the consumer needs no more (early exit)
-    stealers = [t for t in threading.enumerate()
-                if t.name.startswith("repro-steal-")]
-    for thread in stealers:
-        thread.join(timeout=5.0)
-    assert not any(t.is_alive() for t in stealers)
-    assert sum(calls) < len(data)   # the rest of the stream never ran
+    chunks = [f"{i}\n" for i in range(32)]
+    with cf.ThreadPoolExecutor(max_workers=2) as narrow:
+        outputs = _tasks(narrow, work).in_order(chunks)
+        assert next(outputs) == "0\n"
+        outputs.close()         # the consumer needs no more (early exit)
+    # the pool has drained: only what a worker had already started ran
+    assert len(calls) < len(chunks) // 2
 
 
 # -- TaskSet (streaming dispatch wrapper) ------------------------------------

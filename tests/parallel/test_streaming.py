@@ -109,13 +109,18 @@ class TestErrorPropagation:
 
 
 class TestSingleDriver:
-    def test_no_control_threads_beyond_the_pool(self, fast_config):
+    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_no_control_threads_beyond_the_pool(self, scheduler, streaming,
+                                                fast_config):
         """Every stage runs on the caller's thread: the only threads a
-        threaded run adds are the runner's ``k`` pool workers."""
+        threaded run adds are the runner's ``k`` pool workers — under
+        either schedule and in either plane."""
         k = 3
         pp = parallelize(WF, k=k, files={"in.txt": TEXT * 20},
                          engine=THREADS, config=fast_config,
-                         scheduler="static", rewrite=False)
+                         scheduler=scheduler, streaming=streaming,
+                         rewrite=False)
         assert len(pp.plan.stages) >= 4
         seen = set()
 

@@ -228,6 +228,44 @@ def test_saturation_maps_to_429(fast_config):
         service.stop()
 
 
+def test_job_wait_is_clamped_and_rejects_non_finite(fast_config,
+                                                    monkeypatch):
+    """``?wait=1&timeout=inf`` used to kill the handler thread with an
+    OverflowError (the client saw a dropped connection) and a huge
+    finite value pinned it; the server waits at most MAX_WAIT_SECONDS."""
+    from repro.service import server
+
+    monkeypatch.setattr(server, "MAX_WAIT_SECONDS", 0.2)
+    service = ReproService(ServiceConfig(
+        concurrency=1, config_factory=lambda _request: fast_config))
+    service.start_http()
+    gate = threading.Event()
+    original = service.scheduler.run_job
+
+    def gated(job):
+        gate.wait(timeout=10)
+        original(job)
+
+    service.scheduler.run_job = gated
+    try:
+        client = ServiceClient(service.url)
+        job_id = client.submit(PIPELINES[0], files=FILES, env=ENV)
+        for bad in ("inf", "-inf", "nan", "1e400"):
+            with pytest.raises(ValidationError, match="finite"):   # 400
+                client._checked(
+                    "GET", f"/v1/jobs/{job_id}?wait=1&timeout={bad}")
+        start = time.monotonic()
+        pending = client._checked(
+            "GET", f"/v1/jobs/{job_id}?wait=1&timeout=1e12")
+        assert time.monotonic() - start < 5.0
+        assert pending["status"] in ("queued", "running")
+        gate.set()
+        assert client.wait(job_id).status == "done"
+    finally:
+        gate.set()
+        service.stop()
+
+
 def test_graceful_drain_finishes_admitted_jobs_and_503s_new(fast_config):
     """Draining: admitted jobs run to completion, new submits get 503."""
     service = ReproService(ServiceConfig(
