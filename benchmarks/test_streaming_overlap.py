@@ -1,26 +1,28 @@
-"""Streaming data plane: output identity, stage overlap, throughput.
+"""Both data planes over an eliminated-combiner chain.
 
-The barrier engine (the paper's measurement setup) materializes every
-intermediate stream; the streaming engine hands line-aligned chunks
-from stage to stage, each stage keeping up to ``k`` in flight, so
-consecutive parallel stages compute concurrently.  This bench asserts the acceptance criteria of the
-streaming data plane: byte-identical output on both planes, and
-nonzero cross-stage overlap accounted by ``RunStats`` on a multi-stage
-parallel pipeline under a concurrent engine.
+The planner lowers the chain (``sed | grep``) and the ``sort`` that
+consumes its decomposition to one executed stage, so each chunk is cut
+once and runs the whole chain as one task in one worker.  This bench
+asserts what that guarantees on either plane: byte-identical output,
+one task per chunk per *executed* parallel stage — fewer than one per
+command — and per-stage byte accounting in ``RunStats``.  (Before the
+lowering the streaming plane was gated on nonzero cross-stage overlap
+here; inside a chain there is no stage boundary left to overlap
+across.)
 """
 
 from repro import parallelize
 from repro.evaluation.performance import measure_streaming, streaming_table
-from repro.parallel import STREAMING, THREADS
+from repro.parallel import BARRIER, STREAMING, THREADS
 from repro.shell import Pipeline
 from repro.unixsim import ExecContext
 from repro.workloads import datagen
 from repro.workloads.scripts import ALL_SCRIPTS
 
-#: an eliminated-combiner chain (sed, grep) feeding a merge sink — the
-#: dataflow shape whose stages the streaming plane overlaps
+#: an eliminated-combiner chain (sed, grep) feeding a merge sink
 CHAIN = "cat $IN | sed s/the/THE/ | grep -i the | sort | uniq -c"
 SCALE = 60_000
+K = 4
 
 
 def _files():
@@ -33,35 +35,40 @@ def _serial_output(files):
                                 context=ctx).run()
 
 
-def test_streaming_dataflow(benchmark, synth_config):
-    files = _files()
-    pp = parallelize(CHAIN, k=4, files=files, env={"IN": "input.txt"},
-                     engine=THREADS, config=synth_config)
-    out = benchmark.pedantic(pp.run_streaming, rounds=1, iterations=1)
+def _check_dataflow(pp, out, files, plane):
     assert out == _serial_output(files)
     stats = pp.last_stats
-    assert stats.data_plane == STREAMING
+    assert stats.data_plane == plane
     assert stats.bytes_in == len(files["input.txt"])
     assert all(s.bytes_in > 0 for s in stats.stages)
-    # the eliminated sed/grep chain pipelines into the parallel sort:
-    # at least one stage must have computed while its predecessor did.
-    # Overlap is a wall-clock observation, so on a heavily loaded or
-    # single-slice scheduler one run can legitimately read 0 — rerun a
-    # few times before declaring the data plane broken
-    for _ in range(3):
-        if stats.total_overlap > 0.0:
-            break
-        pp.run_streaming()
-        stats = pp.last_stats
-    assert stats.total_overlap > 0.0
+    # sed | grep | sort is one executed stage (whether or not the
+    # optimizer fused sed and grep first), uniq -c the other
+    plan = pp.plan
+    chain, uniq = stats.stages
+    assert "grep -i the" in chain.display
+    assert chain.display.endswith(" | sort")
+    assert uniq.display == "uniq -c"
+    executed_parallel = sum(1 for s in plan.stages if s.parallel)
+    assert stats.scheduler.tasks == K * executed_parallel
+    assert stats.scheduler.tasks < K * plan.num_stages
+    assert [s.chunks for s in stats.stages] == [K] * len(plan.stages)
+
+
+def test_streaming_dataflow(benchmark, synth_config):
+    files = _files()
+    pp = parallelize(CHAIN, k=K, files=files, env={"IN": "input.txt"},
+                     engine=THREADS, config=synth_config)
+    out = benchmark.pedantic(pp.run_streaming, rounds=1, iterations=1)
+    _check_dataflow(pp, out, files, STREAMING)
+    assert pp.run_barrier() == out
 
 
 def test_barrier_dataflow(benchmark, synth_config):
     files = _files()
-    pp = parallelize(CHAIN, k=4, files=files, env={"IN": "input.txt"},
+    pp = parallelize(CHAIN, k=K, files=files, env={"IN": "input.txt"},
                      engine=THREADS, streaming=False, config=synth_config)
     out = benchmark.pedantic(pp.run, rounds=1, iterations=1)
-    assert out == _serial_output(files)
+    _check_dataflow(pp, out, files, BARRIER)
     assert pp.last_stats.total_overlap == 0.0
 
 

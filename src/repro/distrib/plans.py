@@ -50,15 +50,18 @@ def plan_to_entry(plan: PipelinePlan, files: Dict[str, str],
     """Serialize a compiled plan into the snapshot-entry format.
 
     The entry stores the *chosen* pipeline (post-rewrite render) plus
-    every stage's serialized synthesis result, so rebuilding it is a
-    cheap parse + ``compile_pipeline`` — no synthesis executions, no
-    rewrite search, no cost-model candidate runs.
+    the serialized synthesis result of every command the plan runs in
+    parallel — chain members included — so rebuilding it is a cheap
+    parse + ``compile_pipeline``: no synthesis executions, no rewrite
+    search, no cost-model candidate runs.  A command the plan runs
+    sequentially gets no result: which commands are parallel is the
+    plan's decision, and a rebuild must reproduce it, not re-derive it
+    from a profile of whatever input it finds — chunk tasks name their
+    stage by its index in ``plan.stages``.
     """
-    results = []
-    for stage in plan.stages:
-        if stage.synthesis is not None:
-            results.append({"argv": list(stage.command.key()),
-                            "result": result_to_dict(stage.synthesis)})
+    results = [{"argv": list(stage.command.key()),
+                "result": result_to_dict(stage.synthesis)}
+               for stage in plan.commands if stage.parallel]
     return {
         "pipeline": plan.pipeline.render(),
         "env": dict(env),
@@ -78,7 +81,11 @@ def entry_to_plan(entry: dict) -> PipelinePlan:
                                     context=context)
     results = {tuple(r["argv"]): result_from_dict(r["result"])
                for r in entry["results"]}
+    # every recorded result is a command the plan ran in parallel: the
+    # rerun-profitability question was answered at compile time, so
+    # there is nothing to profile the entry's input for
     plan = compile_pipeline(pipeline, results, optimize=entry["optimized"],
+                            rerun_threshold=float("inf"), sample_input="",
                             scheduler=entry["scheduler"])
     plan.rewrites = entry["rewrites"]
     plan.rewrite_trace = list(entry["rewrite_trace"])

@@ -221,7 +221,7 @@ def simulate_plan(plan: PipelinePlan, k: int,
 
     def observe(_index: int, stage: StagePlan, seen: StageRun) -> None:
         run.stages.append(SimulatedStage(
-            display=stage.command.display(), mode=stage.mode,
+            display=stage.display(), mode=stage.mode,
             eliminated=stage.eliminated,
             chunk_seconds=chunk_seconds[:] if stage.parallel
             else [seen.map_seconds],

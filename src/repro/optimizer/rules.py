@@ -52,7 +52,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..unixsim import build
 from ..unixsim.cut import CutChars, CutFields
-from ..unixsim.fused import Fused
+from ..unixsim.fused import Fused, fuse_argvs
 from ..unixsim.grep_cmd import Grep
 from ..unixsim.misc import Cat, Rev
 from ..unixsim.sed_cmd import SedSubstitute
@@ -238,18 +238,10 @@ class FusePerLine(Rule):
     description = "fuse adjacent line-local stages into one pass"
 
     def scan(self, argvs: List[Argv]) -> Iterator[Match]:
-        import shlex
-
         for i in range(len(argvs) - 1):
             a, b = argvs[i], argvs[i + 1]
             if _line_local(a) and _line_local(b):
-                subs: List[str] = []
-                for argv in (a, b):
-                    if argv[0] == "fused":
-                        subs.extend(argv[1:])
-                    else:
-                        subs.append(" ".join(shlex.quote(t) for t in argv))
-                yield (i, 2, [["fused"] + subs])
+                yield (i, 2, [fuse_argvs([a, b])])
 
 
 #: catalog order is also the engine's tie-break preference

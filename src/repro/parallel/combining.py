@@ -11,7 +11,8 @@ left-to-right until one substream remains.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import dataclasses
+from typing import Callable, List, Optional, Sequence
 
 from ..core.dsl.ast import Combiner, Concat, Merge, Rerun
 from ..core.dsl.semantics import EvalEnv
@@ -22,8 +23,14 @@ from ..unixsim.sort import merge_streams
 class KWayCombiner:
     """Applies a synthesized (possibly composite) combiner to k substreams."""
 
-    def __init__(self, combiner: CompositeCombiner) -> None:
+    def __init__(self, combiner: CompositeCombiner,
+                 run_command: Optional[Callable[[str], str]] = None) -> None:
         self.combiner = combiner
+        #: the command ``rerun`` re-runs.  The planner binds it: a chain
+        #: stage's combiner is its *consumer's*, so the ``env`` a caller
+        #: builds from the executed stage's command would re-run the
+        #: whole chain
+        self.run_command = run_command
 
     # -- classification ------------------------------------------------------
 
@@ -52,6 +59,8 @@ class KWayCombiner:
 
     def combine(self, substreams: Sequence[str], env: EvalEnv) -> str:
         streams: List[str] = list(substreams)
+        if self.run_command is not None:
+            env = dataclasses.replace(env, run_command=self.run_command)
         if not streams:
             return ""
         if len(streams) == 1:

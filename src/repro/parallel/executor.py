@@ -4,10 +4,8 @@ Two data planes share one compiled plan:
 
 * **streaming** (default) — stages are chained generators exchanging
   line-aligned chunks, each keeping up to ``k`` chunk futures in flight
-  on the shared runner, so stage *i+1* starts consuming while stage *i*
-  is still producing (:mod:`repro.parallel.streaming`).  This
-  generalizes the combiner-elimination fast path (Figure 5c) into the
-  default execution model.
+  on the shared runner; a stage that needs no more input (``head``)
+  stops its whole upstream (:mod:`repro.parallel.streaming`).
 * **barrier** — the paper's measurement setup (section 4,
   *Experimental Setup*): every stage runs to completion before the
   next starts, the input stream is split into ``k`` line-aligned
@@ -16,8 +14,10 @@ Two data planes share one compiled plan:
   which case substreams flow straight into the next parallel stage.
 
 Both planes compute byte-identical output: the streaming engine makes
-the same splitting/combining decisions at the same stage boundaries,
-it just overlaps the work in time.  Both dispatch every parallel
+the same splitting/combining decisions at the same stage boundaries.
+A stage is an *executed* stage of the plan — the planner has already
+lowered each eliminated chain and its consumer to one, so a chunk is
+one task per chain, not per command.  Both dispatch every parallel
 stage's chunks through the same :class:`~repro.parallel.scheduler.
 TaskSet` onto the runner's worker pool; the ``stealing`` schedule only
 changes how finely a stage's input is split
@@ -176,7 +176,7 @@ class RunStats:
                      seen: StageRun) -> None:
         """Materializing-walker observer: append one stage's stats."""
         self.stages.append(StageStats(
-            display=stage.command.display(), mode=stage.mode,
+            display=stage.display(), mode=stage.mode,
             eliminated=stage.eliminated, chunks=seen.chunks,
             seconds=seen.seconds, bytes_in=seen.bytes_in,
             bytes_out=seen.bytes_out))
@@ -303,7 +303,7 @@ class ParallelPipeline:
                 overlap = overlap_seconds(traces[i - 1].intervals,
                                           trace.intervals)
             stages.append(StageStats(
-                display=stage.command.display(), mode=stage.mode,
+                display=stage.display(), mode=stage.mode,
                 eliminated=stage.eliminated, chunks=trace.chunks,
                 seconds=trace.busy_seconds, bytes_in=trace.bytes_in,
                 bytes_out=trace.bytes_out, overlap_seconds=overlap))

@@ -13,7 +13,13 @@ synthesis results into an execution plan:
   ``concat`` and whose successor is also parallel, letting output
   substreams feed the next stage directly — provided the stage's
   outputs are newline-terminated streams (the Theorem 5 precondition
-  that ``tr -d '\\n'`` violates).
+  that ``tr -d '\\n'`` violates);
+* an eliminated combiner means the substream never has to leave the
+  worker that produced it, so every maximal run of eliminated stages
+  *plus the stage that consumes their decomposition* is lowered to
+  **one executed stage** (``_lower_chains``): one task per chunk
+  runs the whole chain, and only the consumer's combiner ever sees
+  the outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from ..core.synthesis.store import (
 from ..core.synthesis.synthesizer import SynthesisConfig, SynthesisResult, synthesize
 from ..shell.command import Command
 from ..shell.pipeline import Pipeline
+from ..unixsim.fused import fuse_argvs
+from ..unixsim.head_tail import Head
+from ..unixsim.sed_cmd import SedQuit
 from .combining import KWayCombiner
 from .scheduler import STATIC
 
@@ -43,17 +52,30 @@ RERUN_REDUCTION_THRESHOLD = 0.5
 
 @dataclass
 class StagePlan:
-    """Execution decision for one pipeline stage."""
+    """Execution decision for one executed stage.
+
+    Usually that is one pipeline command.  A *chain* stage (see
+    ``_lower_chains``) runs several: ``command`` is their
+    composition, ``members`` their per-command plans in pipeline order,
+    and mode / combiner / ``eliminated`` / ``synthesis`` are the last
+    member's — the stage that consumes the chain's decomposition.
+    """
 
     command: Command
     mode: str
     combiner: Optional[KWayCombiner] = None
     eliminated: bool = False
     synthesis: Optional[SynthesisResult] = None
+    members: Tuple["StagePlan", ...] = ()
 
     @property
     def parallel(self) -> bool:
         return self.mode == PARALLEL
+
+    def display(self) -> str:
+        """The pipeline text this stage executes."""
+        return " | ".join(m.command.display()
+                          for m in self.members or (self,))
 
 
 @dataclass
@@ -61,6 +83,7 @@ class PipelinePlan:
     """A compiled data-parallel pipeline."""
 
     pipeline: Pipeline
+    #: the *executed* stages, in order (a chain is one entry)
     stages: List[StagePlan]
     optimized: bool
     #: chunk scheduler the plan was compiled for (``static`` or
@@ -72,25 +95,39 @@ class PipelinePlan:
     rewrite_trace: List[str] = field(default_factory=list)
 
     @property
+    def commands(self) -> List[StagePlan]:
+        """One plan per pipeline command (chains unfolded): what the
+        paper's per-stage accounting (Table 3) counts."""
+        return [m for s in self.stages for m in s.members or (s,)]
+
+    @property
     def parallelized(self) -> int:
-        return sum(1 for s in self.stages if s.parallel)
+        return sum(1 for s in self.commands if s.parallel)
 
     @property
     def eliminated(self) -> int:
-        return sum(1 for s in self.stages if s.eliminated)
+        return sum(1 for s in self.commands if s.eliminated)
 
     @property
     def num_stages(self) -> int:
-        return len(self.stages)
+        return len(self.commands)
 
     def describe(self) -> List[str]:
+        """One row per pipeline command; the rows of a chain — which
+        execute as one task per chunk — are bracketed in the margin."""
         out = []
-        for s in self.stages:
-            mode = s.mode
-            if s.eliminated:
-                mode += " (combiner eliminated)"
-            comb = s.combiner.combiner.primary.pretty() if s.combiner else "-"
-            out.append(f"{s.command.display():40s} {mode:28s} {comb}")
+        for stage in self.stages:
+            rows = stage.members or (stage,)
+            margin = " " if len(rows) == 1 \
+                else "┌" + "│" * (len(rows) - 2) + "└"
+            for mark, s in zip(margin, rows):
+                mode = s.mode
+                if s.eliminated:
+                    mode += " (combiner eliminated)"
+                comb = s.combiner.combiner.primary.pretty() \
+                    if s.combiner else "-"
+                out.append(f"{mark} {s.command.display():40s} "
+                           f"{mode:28s} {comb}")
         return out
 
 
@@ -105,7 +142,7 @@ def plan_stage(command: Command, result: Optional[SynthesisResult],
     """
     if result is None or not result.ok or result.combiner is None:
         return StagePlan(command, SEQUENTIAL, synthesis=result)
-    kway = KWayCombiner(result.combiner)
+    kway = KWayCombiner(result.combiner, command.run)
     ratio = reduction_ratio if reduction_ratio is not None \
         else result.reduction_ratio
     if kway.is_rerun() and ratio > rerun_threshold:
@@ -113,6 +150,67 @@ def plan_stage(command: Command, result: Optional[SynthesisResult],
         # when the command shrinks its data substantially
         return StagePlan(command, SEQUENTIAL, synthesis=result)
     return StagePlan(command, PARALLEL, combiner=kway, synthesis=result)
+
+
+def prefix_limit(command) -> Optional[int]:
+    """Lines after which a stage's output is fixed, or ``None``.
+
+    ``head -n N`` and ``sed Nq`` depend only on the first ``N`` input
+    lines; once a streaming run has gathered that many, upstream chunk
+    production is cancelled instead of draining the whole input — which
+    is why a chain never swallows such a consumer.  The optimizer's
+    ``topk`` rule shares this definition of "prefix-limited", so the
+    features never disagree on which stages qualify.  Accepts a
+    :class:`~repro.shell.command.Command` or a bare simulated command.
+    """
+    sim = getattr(command, "_sim", command)
+    if isinstance(sim, Head):
+        return max(sim.n, 0)
+    if isinstance(sim, SedQuit):
+        return sim.n
+    return None
+
+
+def _lower_chains(stages: List[StagePlan]) -> List[StagePlan]:
+    """Collapse each eliminated chain and its consumer into one stage.
+
+    Figure 5c made physical: between ``stages[i]`` and the stage that
+    consumes its decomposition no combiner runs, so nothing but the
+    chunk's own data flows from one command to the next — the commands
+    compose (the ``fused`` argv convention; workers and executors
+    rebuild the chain from it) and each chunk is cut once, runs the
+    whole chain as one task and comes back once.  The chain stage
+    combines, and is or is not itself eliminated, exactly as its
+    consumer was; the consumer's combiner stays bound to the consumer's
+    own command, so a ``rerun`` re-runs the consumer alone.
+
+    A prefix-limited consumer stays outside the chain: it needs the
+    chunks one at a time to stop pulling early.  Subprocess-backed
+    commands have no composed form and are left as they are.
+    """
+    out: List[StagePlan] = []
+    i = 0
+    while i < len(stages):
+        j = i
+        while j < len(stages) - 1 and stages[j].parallel \
+                and stages[j].eliminated:
+            j += 1
+        if j > i and prefix_limit(stages[j].command) is None:
+            j += 1              # stages[j] consumes the decomposition
+        members = stages[i:j]
+        if len(members) < 2 \
+                or any(m.command.backend != "sim" for m in members):
+            out.append(stages[i])
+            i += 1
+            continue
+        last = members[-1]
+        command = Command(fuse_argvs([m.command.argv for m in members]),
+                          context=last.command.context)
+        out.append(StagePlan(command, last.mode, last.combiner,
+                             last.eliminated, last.synthesis,
+                             tuple(members)))
+        i = j
+    return out
 
 
 def trim_stream(stream: str, max_bytes: int) -> str:
@@ -175,6 +273,15 @@ def compile_pipeline(
     stages = [plan_stage(cmd, results.get(cmd.key()), rerun_threshold,
                          reduction_ratio=ratio)
               for cmd, ratio in zip(pipeline.commands, ratios)]
+    # one decision per command text: a plan is replicated as
+    # {argv: result} (distrib/plans.py), so two occurrences of a command
+    # cannot differ.  Where a rerun pays for one of them it runs in
+    # parallel for all — the occurrence it does not pay for is the one
+    # whose input an earlier stage already shrank
+    parallel_keys = {s.command.key() for s in stages if s.parallel}
+    stages = [s if s.parallel or s.command.key() not in parallel_keys
+              else plan_stage(s.command, s.synthesis, float("inf"))
+              for s in stages]
     if optimize:
         for i in range(len(stages) - 1):
             cur, nxt = stages[i], stages[i + 1]
@@ -184,6 +291,7 @@ def compile_pipeline(
                     and cur.synthesis is not None
                     and cur.synthesis.outputs_are_streams):
                 cur.eliminated = True
+        stages = _lower_chains(stages)
     return PipelinePlan(pipeline=pipeline, stages=stages, optimized=optimize,
                         scheduler=scheduler)
 

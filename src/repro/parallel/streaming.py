@@ -3,57 +3,61 @@
 The barrier executor (:meth:`ParallelPipeline.run_barrier`) runs every
 stage to completion, materializing the whole intermediate stream as one
 Python string, before the next stage starts — faithful to the paper's
-measurement setup, but wasteful on a real deployment.  This module
-generalizes the intermediate-combiner-elimination fast path (Figure 5c)
-into the data plane itself: stages exchange **line-aligned chunks one
-at a time**, so a chunk leaving an eliminated-combiner stage is
-consumed by stage *i+1* while its sibling chunks are still being
-produced by stage *i*.
+measurement setup.  Here stages exchange **line-aligned chunks one at a
+time** through chained generators, so a stage that needs no more input
+stops its whole upstream.
+
+**A chunk is cut once and stays in its worker until a combiner needs
+it.**  The planner lowers every eliminated-combiner chain, together
+with the stage that consumes its decomposition, to one executed stage
+(Figure 5c made physical), so a decomposition crosses a stage boundary
+in exactly one case: into a *prefix-limited* consumer (``head -n N``,
+``sed Nq``), which the chain deliberately stops short of.
 
 The structural semantics are exactly the barrier engine's, decided
 statically from the compiled plan:
 
 * ``sequential`` stage — gather every incoming chunk, run the command
   once on the joined stream, emit a single chunk;
-* ``parallel`` stage — if the input is not already chunked (upstream
-  was sequential, a combiner sink, or the pipeline source), gather and
+* prefix-limited stage — gather chunks only until they hold the lines
+  the output depends on, close the upstream (cancelling its queued
+  chunk tasks), run once;
+* ``parallel`` stage — if the input is not already chunked, gather and
   :func:`split_stream` it; apply the stage command to each chunk
   (dispatched through the shared :class:`StageRunner`, up to ``k`` in
   flight); then either emit output chunks as they complete (combiner
   eliminated) or gather them all, combine, and emit one chunk.
 
-A stage's input is chunked **iff** its predecessor is a parallel stage
-whose combiner was eliminated — the same condition under which the
-barrier engine hands chunk lists between stages.  Unlike the barrier
-engine, large streams are *oversplit* into up to ``OVERSPLIT * k``
-chunks: with chunk-count == worker-count every chunk of a stage
-finishes at the same instant (fair-share scheduling) and nothing
-pipelines, whereas with more chunks than workers stage *i+1* starts on
-early chunks while stage *i* still holds later ones.  Output remains
-byte-identical: synthesized combiners are insensitive to line-aligned
-chunk boundaries — the same property the barrier engine relies on when
-``k`` varies.
+A fresh decomposition is ``k`` chunks — one per worker, nothing to
+pipeline into, the narrowest combine — except ahead of a prefix-limited
+consumer, where large streams are *oversplit* into up to
+``OVERSPLIT * k`` chunks so early exit has later chunks to cancel
+(:func:`split_count`); the ``stealing`` schedule's finer split is
+separate (:func:`stealing_split_count`).  Output is byte-identical
+whatever the count: synthesized combiners are insensitive to
+line-aligned chunk boundaries — the same property the barrier engine
+relies on when ``k`` varies.
 
 One driver for every engine: each stage is the generator
 :func:`stage_outputs`, and :func:`run_chunk_pipelined` chains them on
 the caller's thread — a pull model with no control threads and no
 queues.  Engines differ only in the runner the mapper dispatches to:
-``serial`` hands back completed futures (deterministic, zero measured
-overlap); ``threads`` / ``processes`` hand back *pending* ones, so
-while a stage pulls its next input chunk up to ``k`` of its own chunks
-are computing in the shared worker pool — that window is both the
-cross-stage overlap and the back-pressure (at most ``k`` undelivered
-chunks per stage; only the stage that starts a ``stealing``
-decomposition submits all of it — its input is materialized anyway),
-and the pool keeps total compute concurrency bounded by ``k`` across
-the whole pipeline.  A stage that needs no more input
-closes its upstream generator; a stage error is an ordinary exception
-propagating up the chain.
+``serial`` hands back completed futures; ``threads`` / ``processes``
+hand back *pending* ones, so up to ``k`` of a stage's chunks are
+computing in the shared worker pool while it pulls its next input —
+that window is the back-pressure (at most ``k`` undelivered chunks per
+stage; only the stage that starts a ``stealing`` decomposition submits
+all of it — its input is materialized anyway), and the pool keeps
+total compute concurrency bounded by ``k`` across the whole pipeline.
+A stage error is an ordinary exception propagating up the chain.
 
 Accounting: every command invocation and combine application is
 recorded as a busy interval; :attr:`StageStats.overlap_seconds` is the
 wall-clock intersection of a stage's busy intervals with its
-predecessor's — genuinely concurrent compute, not just co-residency.
+predecessor's.  Inside a chain there is no predecessor to overlap with
+(the members run back to back in one task), so it is nonzero only
+where a decomposition still crosses a boundary or a combiner runs
+while the next stage's first chunks already compute.
 """
 
 from __future__ import annotations
@@ -62,9 +66,7 @@ import time
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from ..unixsim.head_tail import Head
-from ..unixsim.sed_cmd import SedQuit
-from .planner import PipelinePlan, StagePlan
+from .planner import PipelinePlan, StagePlan, prefix_limit
 from .runner import SERIAL, StageRunner
 from .scheduler import (
     FaultPolicy,
@@ -78,47 +80,56 @@ from .scheduler import (
 from .splitter import split_stream
 from .walker import combine_outputs, input_is_chunked
 
-#: streaming splits into up to ``OVERSPLIT * k`` chunks: with more
-#: chunks than workers, stage i+1's workers start on early chunks while
-#: stage i still holds later ones — chunk-count == worker-count would
-#: finish every chunk of a stage at the same instant and pipeline nothing
+#: ahead of a prefix-limited consumer, streaming splits into up to
+#: ``OVERSPLIT * k`` chunks: the consumer stops pulling once it has its
+#: lines, and only chunks not yet started can be cancelled
 OVERSPLIT = 4
 
-#: never oversplit below this chunk size; tiny inputs fall back to the
-#: barrier engine's k-way decomposition
+#: never oversplit below this chunk size; tiny inputs keep the k-way
+#: decomposition
 MIN_CHUNK_BYTES = 64 * 1024
 
 
 def stream_chunk_count(nbytes: int, k: int) -> int:
-    """Number of chunks the streaming plane splits an unsplit stream into.
+    """Chunks in an oversplit decomposition of ``nbytes`` (see
+    :func:`split_count` for when one is used).
 
     ``k == 1`` means the user asked for no parallelism: mirror
-    :func:`split_stream`'s single-chunk fast path instead of paying
-    combine cost (a ``rerun`` combiner over oversplit chunks would
-    process the stream twice).
+    :func:`split_stream`'s single-chunk fast path.
     """
     if k == 1:
         return 1
     return max(k, min(k * OVERSPLIT, nbytes // MIN_CHUNK_BYTES))
 
 
-def combine_is_cheap(stages: Sequence["StagePlan"], index: int) -> bool:
-    """May the decomposition started at stage ``index`` be oversplit?
+def _consumer(stages: Sequence["StagePlan"], index: int
+              ) -> Optional["StagePlan"]:
+    """The stage that consumes the decomposition started at ``index``.
 
-    A decomposition persists through the eliminated chain starting at
-    ``index`` until some stage consumes it.  Oversplitting only pays
-    when that consumer combines cheaply (concat, merge, and rerun have
-    k-way fast paths; a sequential join is a plain concat): the generic
-    pairwise fold re-reads the accumulated stream once per chunk, so
-    handing it more chunks than workers trades O(chunks * bytes)
-    combine work for no extra parallelism.  The ``stealing``
-    schedule's finer split obeys the same predicate.
+    A decomposition persists through stages whose combiner was
+    eliminated; the first stage that keeps its combiner (or runs
+    sequentially, joining the chunks) consumes it.  ``None`` when the
+    pipeline ends first.
     """
     j = index
     while j < len(stages) and stages[j].parallel and stages[j].eliminated:
         j += 1
-    if j < len(stages) and stages[j].parallel:
-        combiner = stages[j].combiner
+    return stages[j] if j < len(stages) else None
+
+
+def combine_is_cheap(stages: Sequence["StagePlan"], index: int) -> bool:
+    """May the decomposition started at stage ``index`` be split finer
+    than ``k``?
+
+    Only when its consumer combines cheaply (concat, merge, and rerun
+    have k-way fast paths; a sequential join is a plain concat): the
+    generic pairwise fold re-reads the accumulated stream once per
+    chunk, so handing it more chunks than workers trades
+    O(chunks * bytes) combine work for no extra parallelism.
+    """
+    consumer = _consumer(stages, index)
+    if consumer is not None and consumer.parallel:
+        combiner = consumer.combiner
         if combiner is not None and not (combiner.is_concat()
                                          or combiner.is_merge()
                                          or combiner.is_rerun()):
@@ -128,10 +139,22 @@ def combine_is_cheap(stages: Sequence["StagePlan"], index: int) -> bool:
 
 def split_count(stages: Sequence["StagePlan"], index: int, k: int,
                 nbytes: int) -> int:
-    """Chunk count for the decomposition started at stage ``index``."""
-    if not combine_is_cheap(stages, index):
-        return k
-    return stream_chunk_count(nbytes, k)
+    """Chunk count for the decomposition started at stage ``index``.
+
+    ``k``: the planner lowers an eliminated chain and its consumer to
+    one stage, so a decomposition has no next stage to pipeline into
+    and more chunks than workers only widen the combine.  The exception
+    is the one decomposition that still crosses a stage boundary on
+    purpose — into a prefix-limited consumer, which stops pulling once
+    it has its lines: the finer the split, the more of the upstream
+    work that early exit cancels.
+    """
+    if stages[index].eliminated:
+        consumer = _consumer(stages, index)
+        if consumer is not None \
+                and prefix_limit(consumer.command) is not None:
+            return stream_chunk_count(nbytes, k)
+    return k
 
 
 def stealing_split_count(stages: Sequence["StagePlan"], index: int, k: int,
@@ -170,25 +193,6 @@ def _gather_prefix(chunks: Iterator[str], limit: int,
         if newlines >= limit:
             break
     return "".join(parts)
-
-
-def prefix_limit(command) -> Optional[int]:
-    """Lines after which a stage's output is fixed, or ``None``.
-
-    ``head -n N`` and ``sed Nq`` depend only on the first ``N`` input
-    lines; once a streaming run has gathered that many, upstream chunk
-    production is cancelled instead of draining the whole input.  The
-    optimizer's ``topk`` rule shares this definition of
-    "prefix-limited", so the two features never disagree on which
-    stages qualify.  Accepts a :class:`~repro.shell.command.Command`
-    or a bare simulated command.
-    """
-    sim = getattr(command, "_sim", command)
-    if isinstance(sim, Head):
-        return max(sim.n, 0)
-    if isinstance(sim, SedQuit):
-        return sim.n
-    return None
 
 
 class StageTrace:

@@ -5,11 +5,14 @@
 element after the command name is one sub-stage, tokenized with
 :func:`shlex.split` and built through the normal registry.
 
-The optimizer's stage-fusion rule only produces ``fused`` from
+Two producers.  The optimizer's stage-fusion rule only fuses
 *line-local* stages (each output line depends on exactly one input
-line), so the composition keeps the ``concat`` combiner that makes the
-stage embarrassingly parallel — while one fused pass replaces several
-split/queue/combine boundaries.
+line), so the composition keeps the ``concat`` combiner and is
+synthesized like any other command.  The planner composes an
+eliminated-combiner chain with the stage that consumes its
+decomposition (any commands; the consumer's combiner applies), so a
+chunk is one task per chain instead of one per stage — that ``fused``
+is never synthesized.
 """
 
 from __future__ import annotations
@@ -31,6 +34,21 @@ class Fused(SimCommand):
         for stage in self.stages:
             data = stage.run(data, ctx)
         return data
+
+
+def fuse_argvs(argvs: List[List[str]]) -> List[str]:
+    """The ``fused`` command line running ``argvs`` in turn.
+
+    A member that is itself ``fused`` contributes its sub-stages, so the
+    result is always flat.  Inverse of :func:`fused_sub_argvs`.
+    """
+    subs: List[str] = []
+    for argv in argvs:
+        if argv[0] == "fused":
+            subs.extend(argv[1:])
+        else:
+            subs.append(" ".join(shlex.quote(t) for t in argv))
+    return ["fused"] + subs
 
 
 def fused_sub_argvs(argv: List[str]) -> List[List[str]]:

@@ -31,6 +31,39 @@ def test_two_node_run_is_byte_identical(pp, serial_output):
     assert len(cluster.registry) == 1
 
 
+def test_eliminated_member_is_neither_a_task_nor_shipped(pp, serial_output,
+                                                         tiny_config):
+    """``tr A-Z a-z`` is eliminated into ``sort``: the two run as one
+    task per chunk on the executor, so against the one-stage-per-command
+    plan the job loses that stage's tasks and one whole copy of the
+    input in each direction (shipped is 2x the input, not 3x)."""
+    from repro import parallelize
+
+    from .conftest import TEXT
+
+    data = make_data()
+    unchained = parallelize(TEXT, k=4, files={"in.txt": data}, rewrite=False,
+                            optimize=False, config=tiny_config)
+    assert [s.display() for s in pp.plan.stages] == \
+        ["tr A-Z a-z | sort", "uniq -c", "sort -rn"]
+    assert len(unchained.plan.stages) == 4
+    with LocalCluster(nodes=2, k=2, min_chunk_bytes=64) as cluster:
+        assert cluster.run_plan(pp.plan) == serial_output
+        chained = cluster.last_stats
+        assert cluster.run_plan(unchained.plan) == serial_output
+        plain = cluster.last_stats
+    per_stage = chained.stages[0].chunks
+    assert [s.chunks for s in plain.stages][:2] == [per_stage, per_stage]
+    assert chained.distrib.tasks == plain.distrib.tasks - per_stage
+    assert chained.distrib.bytes_shipped == \
+        plain.distrib.bytes_shipped - len(data)
+    assert chained.distrib.bytes_returned == \
+        plain.distrib.bytes_returned - len(data)
+    assert 2 * len(data) <= chained.distrib.bytes_shipped < 2.1 * len(data)
+    assert [s.display for s in chained.stages] == \
+        [s.display() for s in pp.plan.stages]
+
+
 def test_stats_round_trip_through_dict(pp):
     from repro.parallel import RunStats, run_stats_from_dict
 

@@ -14,6 +14,13 @@ from repro.distrib import (
 )
 
 
+def stage_shapes(plan):
+    """What an executor must agree with the controller on, per stage."""
+    return [(s.command.argv, s.mode, s.eliminated,
+             s.combiner.primary.pretty() if s.combiner else None)
+            for s in plan.stages]
+
+
 def _entry(pp):
     context = pp.plan.pipeline.context
     return plan_to_entry(pp.plan, context.fs, context.env)
@@ -34,6 +41,46 @@ def test_round_trip_preserves_plan_metadata(pp):
     assert rebuilt.rewrites == pp.plan.rewrites
     assert rebuilt.rewrite_trace == pp.plan.rewrite_trace
     assert len(rebuilt.stages) == len(pp.plan.stages)
+
+
+def test_round_trip_preserves_executed_stages(pp):
+    """Chunk tasks name a stage by its index in ``plan.stages``, so an
+    executor's rebuild must have the controller's executed stages —
+    chain members rehydrated parallel, not as sequential strangers."""
+    rebuilt = entry_to_plan(_entry(pp))
+    assert [s.display() for s in pp.plan.stages] == \
+        ["tr A-Z a-z | sort", "uniq -c", "sort -rn"]
+    assert stage_shapes(rebuilt) == stage_shapes(pp.plan)
+    assert [m.mode for m in rebuilt.commands] == ["parallel"] * 4
+    assert rebuilt.eliminated == pp.plan.eliminated == 1
+
+
+def test_round_trip_pins_the_sequential_decision(tiny_config):
+    """Which commands run in parallel is recorded, not re-profiled: a
+    rebuild over other input keeps an unprofitable rerun sequential."""
+    from repro import parallelize
+
+    text = "cat in.txt | tr -cs A-Za-z '\\n' | sort"
+    pp = parallelize(text, k=2, files={"in.txt": "some words here\n" * 50},
+                     rewrite=False, config=tiny_config)
+    assert [s.mode for s in pp.plan.stages] == ["sequential", "parallel"]
+    entry = plan_to_entry(pp.plan, {"in.txt": "\n" * 400 + "x\n"}, {})
+    assert [r["argv"] for r in entry["results"]] == [["sort"]]
+    assert stage_shapes(entry_to_plan(entry)) == stage_shapes(pp.plan)
+
+
+def test_round_trip_of_a_repeated_command(tiny_config):
+    """Entries map argv to result, so a command text has one mode per
+    plan — otherwise the rebuild could not tell its occurrences apart."""
+    from repro import parallelize
+
+    data = "".join(f"line {i}\n" for i in range(4000))
+    pp = parallelize("cat in.txt | topk 5 | rev | topk 5", k=2,
+                     files={"in.txt": data}, rewrite=False,
+                     config=tiny_config)
+    rebuilt = entry_to_plan(_entry(pp))
+    assert stage_shapes(rebuilt) == stage_shapes(pp.plan)
+    assert rebuilt.pipeline.run() == pp.plan.pipeline.run()
 
 
 def test_digest_is_stable_and_content_addressed(pp):

@@ -44,11 +44,21 @@ class TestSimulatePlan:
             assert s.modeled_seconds <= sum(s.chunk_seconds) \
                 + s.combine_seconds + s.split_seconds + 1e-9
 
-    def test_eliminated_boundary_not_charged(self, wf_plan):
-        opt, _, _ = wf_plan
+    def test_eliminated_boundary_not_charged(self, wf_plan, fast_config):
+        opt, unopt, _ = wf_plan
+        # inside a chain the eliminated boundary is not even a stage
         run = simulate_plan(opt, 8)
+        assert run.stages[1].display == "tr A-Z a-z | sort"
+        assert len(run.stages) == len(simulate_plan(unopt, 8).stages) - 1
+        # where a decomposition still crosses one (into a prefix-limited
+        # consumer) no combine is charged
+        ctx = ExecContext(fs={"in.txt": "Alpha beta\nGamma delta\n" * 200})
+        pipeline = Pipeline.from_string(
+            "cat in.txt | rev | tr a-z A-Z | head -n 3", context=ctx)
+        results = synthesize_pipeline(pipeline, config=fast_config)
+        run = simulate_plan(compile_pipeline(pipeline, results), 8)
         eliminated = [s for s in run.stages if s.eliminated]
-        assert eliminated
+        assert [s.display for s in eliminated] == ["rev | tr a-z A-Z"]
         for s in eliminated:
             assert s.combine_seconds == 0.0
 

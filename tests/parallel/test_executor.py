@@ -87,8 +87,31 @@ class TestStats:
         pp.run()
         stats = pp.last_stats
         assert stats is not None and stats.k == 4
-        assert len(stats.stages) == 5
+        assert len(stats.stages) == len(pp.plan.stages) == 4
         assert stats.seconds > 0
+
+    @pytest.mark.parametrize("streaming", [True, False],
+                             ids=["streaming", "barrier"])
+    def test_wf_exact_task_and_chunk_counts(self, streaming, fast_config):
+        """wf.sh at k=2: one sequential stage and three executed
+        parallel stages — the eliminated ``tr A-Z a-z`` costs no task
+        of its own — on both planes and in the cost model."""
+        from repro.workloads import datagen
+
+        # big enough that the old streaming split would have oversplit
+        files = {"in.txt": datagen.book_text(6000, seed=1)}
+        pp = parallelize(WF, k=2, files=files, engine=PROCESSES,
+                         streaming=streaming, rewrite=False,
+                         config=fast_config)
+        assert pp.run() == serial_output(WF, files)
+        stats = pp.last_stats
+        assert stats.scheduler.tasks == 6
+        assert [s.chunks for s in stats.stages] == [1, 2, 2, 2]
+        modeled = simulate_plan(pp.plan, 2)
+        assert [len(s.chunk_seconds) for s in modeled.stages] == \
+            [s.chunks for s in stats.stages]
+        assert [s.display for s in modeled.stages] == \
+            [s.display for s in stats.stages]
 
     def test_invalid_k(self, fast_config):
         with pytest.raises(ValueError):

@@ -118,16 +118,17 @@ def test_delayed_head_of_line_speculation_streaming(tiny_config,
 
 def test_upstream_head_of_line_straggler_streaming_threads(tiny_config,
                                                            serial_output):
-    """One driver thread: while stage 0's head chunk straggles, stage 1
-    cannot drain what it already finished (docs/ARCHITECTURE.md, "The
-    streaming engine") — the run still terminates with the serial
-    output and schedules exactly the undelayed run's tasks."""
+    """One driver thread: while the head chunk of the first stage — the
+    ``tr | sort`` chain — straggles, nothing downstream can start
+    (docs/ARCHITECTURE.md, "The streaming engine") — the run still
+    terminates with the serial output and schedules exactly the
+    undelayed run's tasks."""
     import threading
 
     def run(policy):
         pp = _pp(tiny_config, engine="threads", scheduler="static")
         stages = pp.plan.stages
-        assert stages[0].parallel and stages[0].eliminated
+        assert stages[0].parallel and len(stages[0].members) == 2
         assert stages[1].parallel
         pp.fault_policy = policy
         outputs = []
@@ -145,6 +146,53 @@ def test_upstream_head_of_line_straggler_streaming_threads(tiny_config,
     assert policy.injected_delays == 1
     assert stats.scheduler.tasks == plain_stats.scheduler.tasks
     assert stats.seconds >= 0.3
+
+
+def test_chain_task_kill_retries_the_whole_chain(tiny_config, serial_output):
+    """Stage 0 is the ``tr | sort`` chain, one task per chunk: a killed
+    attempt costs a retry of that task — the chain re-runs from the
+    chunk it was cut from, no member is ever dispatched on its own."""
+    for streaming, engine in [(False, "serial"), (True, "serial"),
+                              (True, "threads"), (False, "processes"),
+                              (True, "processes")]:
+        policy = FaultPolicy(kill={(0, 1): 2})
+        pp = _pp(tiny_config, engine=engine, streaming=streaming)
+        assert len(pp.plan.stages[0].members) == 2
+        pp.fault_policy = policy
+        assert pp.run() == serial_output, (streaming, engine)
+        sched = pp.last_stats.scheduler
+        assert policy.injected_kills == 2, (streaming, engine)
+        assert (sched.retries, sched.failures) == (2, 2), (streaming, engine)
+        # k tasks for each of the 3 executed stages, none per member
+        assert sched.tasks == 3 * 4, (streaming, engine)
+
+
+def test_chain_task_retry_is_bounded(tiny_config):
+    policy = FaultPolicy(kill={(0, 1): 99})
+    pp = _pp(tiny_config)
+    pp.scheduler_config = SchedulerConfig(max_attempts=2)
+    pp.fault_policy = policy
+    with pytest.raises(InjectedFault):
+        pp.run()
+    assert policy.injected_kills == 2
+
+
+def test_chain_task_straggler_speculation(tiny_config, serial_output):
+    """A delayed chain task gets one duplicate of the whole chain;
+    first result wins and the output is unchanged."""
+    for streaming in (True, False):
+        policy = FaultPolicy(delay={(0, 0): 0.4})
+        pp = _pp(tiny_config, engine="threads", streaming=streaming)
+        pp.scheduler_config = SchedulerConfig(
+            speculate=True, speculation_factor=1.5,
+            speculation_min_samples=2, speculation_min_seconds=0.02)
+        pp.fault_policy = policy
+        assert pp.run() == serial_output
+        sched = pp.last_stats.scheduler
+        assert policy.injected_delays == 1
+        assert sched.speculations >= 1 and sched.speculation_wins >= 1
+        assert sched.retries == 0   # a straggler is not a failure
+        assert sched.tasks == 3 * 4
 
 
 def test_fault_policy_counters_roundtrip_run_stats(tiny_config,

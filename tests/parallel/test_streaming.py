@@ -147,7 +147,8 @@ class TestAccounting:
         stats = pp.last_stats
         assert stats is not None
         assert stats.data_plane == STREAMING
-        assert len(stats.stages) == 5
+        # one entry per *executed* stage: tr A-Z a-z | sort is one
+        assert len(stats.stages) == len(pp.plan.stages) == 4
         assert stats.seconds > 0
         assert stats.bytes_in == len(TEXT)
         assert stats.bytes_out == len(serial_output(WF, files))
@@ -173,16 +174,33 @@ class TestAccounting:
         pp.run()
         assert pp.last_stats.total_overlap == 0.0
 
-    def test_bytes_conserved_through_eliminated_stage(self, fast_config):
+    def test_chain_is_one_stage_row(self, fast_config):
         files = {"in.txt": TEXT}
         pp = parallelize(WF, k=4, files=files, config=fast_config)
         pp.run()
         stages = pp.last_stats.stages
-        tr_stage = stages[1]          # tr A-Z a-z: eliminated, 1:1 bytes
-        assert tr_stage.eliminated
-        assert tr_stage.bytes_out == tr_stage.bytes_in
-        # its output chunks feed sort directly
-        assert stages[2].bytes_in == tr_stage.bytes_out
+        chain = stages[1]             # tr A-Z a-z | sort: 1:1 bytes
+        assert chain.display == "tr A-Z a-z | sort"
+        assert (chain.mode, chain.eliminated) == ("parallel", False)
+        assert chain.chunks == 4
+        assert chain.bytes_out == chain.bytes_in
+        # sort's merged output is what uniq -c splits
+        assert stages[2].bytes_in == chain.bytes_out
+
+    def test_bytes_conserved_through_eliminated_stage(self, fast_config):
+        # the one decomposition that still crosses a stage boundary:
+        # into a prefix-limited consumer (barrier plane, so head reads
+        # all of it instead of exiting early)
+        text = "cat in.txt | rev | tr a-z A-Z | head -n 3"
+        pp = parallelize(text, k=4, files={"in.txt": TEXT}, rewrite=False,
+                         streaming=False, config=fast_config)
+        assert pp.run() == serial_output(text, {"in.txt": TEXT})
+        chain, head = pp.last_stats.stages
+        assert chain.display == "rev | tr a-z A-Z"
+        assert chain.eliminated
+        assert chain.bytes_out == chain.bytes_in
+        # its output chunks feed head directly
+        assert head.bytes_in == chain.bytes_out
 
 
 class TestChunkPolicy:
@@ -203,27 +221,33 @@ class TestChunkPolicy:
         # chunks would process the stream twice for nothing
         assert stream_chunk_count(MIN_CHUNK_BYTES * 100, 1) == 1
 
-    def test_generic_combiner_sink_disables_oversplit(self, fast_config):
-        # uniq -c combines with a pairwise stitch fold whose cost grows
-        # with chunk count; the decomposition feeding it must stay at k
+    def test_fresh_decomposition_is_k_way(self, fast_config):
+        # a chain and its consumer are one stage, so a decomposition has
+        # no next stage to pipeline into: k chunks, whatever combines them
         files = {"in.txt": TEXT}
         pp = parallelize(WF, k=4, files=files, config=fast_config)
         stages = pp.plan.stages
-        uniq_index = next(i for i, s in enumerate(stages)
-                          if s.command.name == "uniq")
         big = MIN_CHUNK_BYTES * 100
-        assert split_count(stages, uniq_index, 4, big) == 4
-        sort_index = uniq_index - 1  # merge combiner: cheap k-way
-        assert split_count(stages, sort_index, 4, big) == 4 * OVERSPLIT
+        for index, stage in enumerate(stages):
+            if stage.parallel:
+                assert split_count(stages, index, 4, big) == 4
 
-    def test_eliminated_chain_inherits_consumer_policy(self, fast_config):
-        # tr A-Z a-z is eliminated into sort (merge): oversplit is fine
-        files = {"in.txt": TEXT}
-        pp = parallelize(WF, k=4, files=files, config=fast_config)
-        stages = pp.plan.stages
-        tr_index = next(i for i, s in enumerate(stages) if s.eliminated)
+    def test_oversplit_only_ahead_of_prefix_limited_consumer(self,
+                                                             fast_config):
         big = MIN_CHUNK_BYTES * 100
-        assert split_count(stages, tr_index, 4, big) == 4 * OVERSPLIT
+        files = {"in.txt": TEXT}
+        # rev | tr is eliminated into head, which stops pulling early:
+        # the finer the split, the more upstream work that cancels
+        pp = parallelize("cat in.txt | rev | tr a-z A-Z | head -n 3", k=4,
+                         files=files, rewrite=False, config=fast_config)
+        stages = pp.plan.stages
+        assert stages[0].eliminated
+        assert split_count(stages, 0, 4, big) == 4 * OVERSPLIT
+        assert split_count(stages, 0, 4, 1000) == 4   # too small to bother
+        # sort keeps its merge combiner, so head gets one chunk anyway
+        pp = parallelize("cat in.txt | sort | head -n 3", k=4, files=files,
+                         rewrite=False, config=fast_config)
+        assert split_count(pp.plan.stages, 0, 4, big) == 4
 
 
 class TestIntervalMath:
@@ -333,6 +357,23 @@ class TestEarlyExit:
         head_stage = pp.last_stats.stages[-1]
         total_chunks = stream_chunk_count(len(self.BIG), 2)
         assert head_stage.chunks < total_chunks
+
+    @pytest.mark.parametrize("engine", [SERIAL, THREADS, PROCESSES])
+    def test_chain_stops_before_head_and_still_cancels(self, engine,
+                                                       fast_config):
+        # the tail of poets/3_3.sh: the chain is not collapsed into
+        # head, keeps its oversplit, and early exit cancels most of it
+        text = "cat in.txt | rev | awk '{print $2}' | head -n 3"
+        pp = self._pp(text, engine, fast_config)
+        stages = pp.plan.stages
+        assert [s.display() for s in stages] == \
+            ["rev | awk '{print $2}'", "head -n 3"]
+        assert stages[0].eliminated
+        assert pp.run() == serial_output(text, {"in.txt": self.BIG})
+        cut = split_count(stages, 0, 2, len(self.BIG))
+        assert cut == stream_chunk_count(len(self.BIG), 2) > 2
+        assert pp.last_stats.scheduler.tasks < cut
+        assert pp.run_barrier() == pp.run_streaming()
 
     def test_streaming_still_matches_barrier(self, fast_config):
         pp = self._pp("cat in.txt | grep match | head -n 3", THREADS,
