@@ -4,8 +4,9 @@
 Starts the daemon as a real subprocess (``python -m repro serve``),
 submits concurrent jobs from several tenants, asserts every output is
 byte-identical to the serial reference semantics, checks that repeat
-submissions hit the shared plan cache, and verifies the daemon shuts
-down cleanly (exit code 0, no orphaned process).
+submissions — half of them over data the daemon has never seen — hit
+the shared plan cache, and verifies the daemon shuts down cleanly
+(exit code 0, no orphaned process).
 
 Run from the repository root::
 
@@ -40,8 +41,16 @@ N_JOBS = max(len(PIPELINES),
 N_TENANTS = 4
 
 
-def serial_reference(pipeline: str) -> str:
-    context = ExecContext(fs=dict(FILES), env=dict(ENV))
+def job_files(index: int) -> dict:
+    """Every second job's input has one line no earlier job had: fresh
+    data over a known pipeline must still be a plan-cache hit."""
+    if index % 2 == 0:
+        return FILES
+    return {"input.txt": FILES["input.txt"] + f"fresh-{index}\n"}
+
+
+def serial_reference(pipeline: str, files: dict) -> str:
+    context = ExecContext(fs=dict(files), env=dict(ENV))
     return Pipeline.from_string(pipeline, env=ENV, context=context).run()
 
 
@@ -77,8 +86,8 @@ def main() -> int:
             try:
                 pipeline = PIPELINES[index % len(PIPELINES)]
                 results[index] = (pipeline,
-                                  client.run(pipeline, files=FILES, env=ENV,
-                                             k=4, engine="threads",
+                                  client.run(pipeline, files=job_files(index),
+                                             env=ENV, k=4, engine="threads",
                                              timeout=600))
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"job {index}: {exc}")
@@ -96,7 +105,7 @@ def main() -> int:
         for index, (pipeline, result) in sorted(results.items()):
             assert result.status == "done", \
                 f"job {index} {result.status}: {result.error}"
-            expected = serial_reference(pipeline)
+            expected = serial_reference(pipeline, job_files(index))
             assert result.output == expected, \
                 f"job {index} output diverged for {pipeline!r}"
         print(f"{N_JOBS} concurrent jobs byte-identical "

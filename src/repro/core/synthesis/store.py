@@ -149,8 +149,9 @@ class CombinerStore:
 
 
 #: entries kept in the in-process memo before least-recently-used
-#: eviction — bounds memory in long-lived services compiling pipelines
-#: over many distinct datasets (each dataset hash is a distinct key)
+#: eviction — bounds memory in long-lived processes compiling pipelines
+#: over many distinct contexts (each context hash is a distinct key; the
+#: service's contexts hold side files only, so not one per dataset)
 MEMO_CAPACITY = 512
 
 _MEMO: "OrderedDict[tuple, SynthesisResult]" = OrderedDict()

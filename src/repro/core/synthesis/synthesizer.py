@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -99,7 +100,10 @@ def synthesize(command: Command,
                profile: Optional[CommandProfile] = None) -> SynthesisResult:
     """Synthesize a combiner for ``command`` (Algorithm 1)."""
     config = config or SynthesisConfig()
-    rng = random.Random(config.seed if config.seed else hash(command.key()) & 0xFFFF)
+    # seed 0 means "per command", from a digest that is the same in
+    # every process (``hash`` of a str is randomized per interpreter)
+    rng = random.Random(config.seed
+                        or zlib.crc32(command.display().encode("utf-8")))
     start = time.perf_counter()
     exec_base = command.executions
 

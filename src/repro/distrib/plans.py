@@ -6,10 +6,10 @@ the expensive half of a job (39-331 s per command in the paper), and
 the controller already paid it once.  This module reuses the plan-cache
 persistence format (the PR that added snapshot warm starts): a plan
 *entry* is the JSON record holding the chosen (post-rewrite) pipeline
-text, the job's virtual files and environment, and every stage's
-serialized synthesis result — exactly what a daemon restart needs to
-rebuild a plan with zero synthesis executions, and therefore exactly
-what a remote executor needs too.
+text, the virtual files and environment of the plan's context, and
+every stage's serialized synthesis result — exactly what a daemon
+restart needs to rebuild a plan with zero synthesis executions, and
+therefore exactly what a remote executor needs too.
 
 Entries are addressed by a **content digest** (sha256 of the canonical
 JSON), so replication is idempotent and cache-friendly: an executor
@@ -38,10 +38,12 @@ from ..unixsim import ExecContext
 
 
 #: plan entries a registry (controller) or an executor keeps, least
-#: recently used evicted first.  Every entry embeds its job's input
-#: files, so an unbounded table leaks one input per fresh-input job.
-#: Far above any controller's concurrent-job count, so a running job's
-#: plan is never the eviction victim.
+#: recently used evicted first.  An entry embeds the files of its
+#: plan's context — from the service the side files its commands can
+#: read, never a job's input stream — so an unbounded table leaks one
+#: set of side files per distinct plan.  Far above any controller's
+#: concurrent-job count, so a running job's plan is never the eviction
+#: victim.
 MAX_RETAINED_PLANS = 64
 
 

@@ -166,6 +166,7 @@ def select_plan(
         root = candidates[0].pipeline
         synthesize_pipeline(root, config=config, cache=cache, store=store)
         plan = compile_pipeline(root, cache, optimize=optimize,
+                                sample_input=sample if sample else None,
                                 scheduler=pinned)
         return plan, optimization
 

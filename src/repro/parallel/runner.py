@@ -160,8 +160,9 @@ class RunnerPool:
     — so any thread runner of sufficient width is reusable by any job.
     Process runners snapshot the virtual filesystem into workers at
     pool startup, so they are keyed by a fingerprint of the context and
-    only reused by jobs with an identical one.  That makes the number
-    of keys unbounded (one per distinct dataset), so ``max_idle`` bounds
+    only reused by jobs with an identical one.  The service's plans
+    hold side files only, so that is one key per distinct set of side
+    files, not per dataset — still unbounded, so ``max_idle`` bounds
     the idle runners in *total*: on overflow the least recently
     released one is closed.
     """

@@ -5,13 +5,19 @@ the expensive half of a job (the paper reports 39-331 s of synthesis
 per command); the service pays it once per distinct job shape and
 serves every repeat from this cache.
 
-The key mirrors the synthesis memo's identity
-(:func:`repro.core.synthesis.store.synthesis_memo_key`): pipeline
-text, environment, a fingerprint of the virtual filesystem, the
-synthesis-config fingerprint, and the optimize flag — everything plan
-compilation can observe.  ``k``, engine, and data plane are *runtime*
-knobs carried by :class:`~repro.parallel.ParallelPipeline`, not by the
-plan, so one cached plan serves jobs at any parallelism degree.
+A plan is a function of the pipeline, never of the stream it is run
+on (combiners are correct for every split of every input), so the key
+is everything plan compilation can *observe*: pipeline text,
+environment, the synthesis-config fingerprint, the optimize flag, the
+scheduler, and a fingerprint of the request's **side files** — every
+file except the one the leading ``cat FILE`` names, unless the pipeline
+can reach that file some other way (:func:`_stream_file`).  The input
+stream itself is a *runtime* argument like ``k``, engine, and data
+plane: the service passes it to ``run(data)``, so one cached plan
+serves jobs over any dataset at any parallelism degree.  The first
+dataset a pipeline is seen with prices its rewrite candidates and
+answers the rerun-profitability question, once, like a prepared
+statement.
 
 Concurrency: lookups are guarded by one lock; compilation runs outside
 it under a per-key *single-flight* lock, so ten identical jobs
@@ -24,7 +30,7 @@ Persistence: with a ``path`` the cache keeps a JSON snapshot, keyed by
 a content digest of the full cache key, of everything needed to
 *rehydrate* a plan without re-running synthesis or cost-model plan
 selection — the chosen (post-rewrite) pipeline text, the request's
-files/env, and the per-stage synthesis results serialized through the
+side files/env, and the per-stage synthesis results serialized through the
 combiner-store idiom (:func:`result_to_dict`).  A daemon restart loads
 the snapshot and serves previously-seen pipelines as *warm* hits: a
 cheap parse + ``compile_pipeline`` from stored synthesis results, with
@@ -39,7 +45,9 @@ import dataclasses
 import hashlib
 import json
 import threading
+import time
 from collections import OrderedDict
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -55,13 +63,14 @@ from ..shell.pipeline import Pipeline
 from ..unixsim import ExecContext
 from .protocol import JobRequest
 
-#: compiled plans kept before LRU eviction; plans embed their virtual
-#: filesystem, so this also bounds resident input data
+#: compiled plans kept before LRU eviction; a plan embeds the side
+#: files its commands can name (dictionaries, stop lists), never a job's
+#: input stream, so this also bounds resident side-file data
 DEFAULT_PLAN_CAPACITY = 128
 
-#: largest request (pipeline + files bytes) worth snapshotting to disk —
-#: the snapshot embeds the job's virtual filesystem, so huge one-off
-#: datasets would bloat it for little warm-start value
+#: largest plan (pipeline + side-file bytes) worth snapshotting to disk —
+#: the snapshot embeds those side files, so a pipeline over a huge
+#: dictionary would bloat it for little warm-start value
 DEFAULT_MAX_PERSIST_BYTES = 4 * 1024 * 1024
 
 _SNAPSHOT_SCHEMA = 1
@@ -86,6 +95,36 @@ def _default_config(request: JobRequest) -> SynthesisConfig:
     return SynthesisConfig(max_size=request.max_size, seed=request.seed)
 
 
+@lru_cache(maxsize=1024)
+def _stream_file(text: str,
+                 env_items: Tuple[Tuple[str, str], ...]) -> Optional[str]:
+    """Name of the file plan compilation cannot observe, or None.
+
+    That is the file the leading ``cat FILE`` names: no command of the
+    plan reads it, the job binds its contents at run time.  Two ways a
+    pipeline can reach the file anyway, and then it is a side file like
+    any other: an argument names it again (``comm -23 - $IN``), or an
+    ``xargs`` reads files named by its *data*.  Both are matched as
+    substrings of every argument, which sees through
+    ``fused 'xargs cat'`` at the price of an occasional needless
+    per-dataset plan.
+    """
+    pipeline = Pipeline.from_string(text, env=dict(env_items))
+    name = pipeline.input_file
+    if name is None or any("xargs" in arg or name in arg
+                           for cmd in pipeline.commands for arg in cmd.argv):
+        return None
+    return name
+
+
+def _side_files(request: JobRequest) -> Dict[str, str]:
+    """The request's files that plan compilation can observe."""
+    stream = _stream_file(request.pipeline,
+                          tuple(sorted(request.env.items())))
+    return {name: contents for name, contents in request.files.items()
+            if name != stream}
+
+
 def plan_cache_key(request: JobRequest,
                    config: Optional[SynthesisConfig] = None) -> tuple:
     """Hashable identity of everything plan compilation observes.
@@ -94,11 +133,12 @@ def plan_cache_key(request: JobRequest,
     (:func:`repro.optimizer.canonical_text`), so whitespace, quoting,
     and flag-spelling variants of one pipeline (``sort -rn`` vs
     ``sort -nr``) share a cache entry instead of each paying a cold
-    compile.  File contents enter via a cryptographic digest, not
-    ``hash()``: two tenants' jobs may share a cached plan (and the
-    filesystem embedded in it) only when their files really are
-    byte-identical, so the fingerprint must not have a practical
-    collision class.
+    compile.  Of the files, only those a command can read enter
+    (:func:`_side_files`): two jobs that differ only in their input
+    stream share a plan, two that differ in a dictionary never do.
+    Contents enter via a cryptographic digest, not ``hash()``: two
+    tenants' jobs share the filesystem embedded in a cached plan, so
+    the fingerprint must not have a practical collision class.
     """
     from ..optimizer import canonical_text
 
@@ -106,12 +146,14 @@ def plan_cache_key(request: JobRequest,
         config = _default_config(request)
     try:
         pipeline_id = canonical_text(request.pipeline, env=request.env)
+        files = _side_files(request)
     except Exception:
-        pipeline_id = request.pipeline  # unparsable: fall back to the text
+        # unparsable: fall back to the text and every file
+        pipeline_id, files = request.pipeline, request.files
     return (
         pipeline_id,
         tuple(sorted(request.env.items())),
-        fs_digest(request.files),
+        fs_digest(files),
         tuple(sorted(dataclasses.asdict(config).items())),
         request.optimize,
         # the chunk scheduler is a plan attribute: an "auto" plan
@@ -144,6 +186,7 @@ class PlanCache:
         self._hits = 0
         self._disk_hits = 0
         self._misses = 0
+        self._compile_seconds = 0.0
         if self.path is not None and self.path.exists():
             self.load()
 
@@ -160,7 +203,9 @@ class PlanCache:
 
         ``hit`` is falsy for a cold compile, :data:`HIT_MEMORY` for an
         in-memory hit, and :data:`HIT_DISK` for a plan rehydrated from
-        the persistent snapshot (warm: no synthesis ran).
+        the persistent snapshot (warm: no synthesis ran).  The plan's
+        context holds the request's side files only; the caller binds
+        the input stream with ``run(data)``.
         """
         config = self.config_factory(request)
         key = plan_cache_key(request, config)
@@ -184,6 +229,7 @@ class PlanCache:
                 if entry is not None:
                     self._snapshot.move_to_end(digest)
             hit: object = False
+            started = time.perf_counter()
             try:
                 plan = None
                 if entry is not None:
@@ -199,6 +245,7 @@ class PlanCache:
                         self._disk_hits += 1
                     else:
                         self._misses += 1
+                    self._compile_seconds += time.perf_counter() - started
                     self._plans[key] = plan
                     self._plans.move_to_end(key)
                     while len(self._plans) > self.capacity:
@@ -218,21 +265,32 @@ class PlanCache:
 
     def _compile(self, request: JobRequest,
                  config: SynthesisConfig) -> PipelinePlan:
-        context = ExecContext(fs=dict(request.files), env=dict(request.env))
+        from ..optimizer.selector import stratified_sample
+
+        context = ExecContext(fs=_side_files(request), env=dict(request.env))
         pipeline = Pipeline.from_string(request.pipeline, env=request.env,
                                         context=context)
+        # the first dataset seen prices the candidates and answers the
+        # rerun-profitability question; it is not kept.  A job without
+        # its input fails here as its run would, before a plan nobody
+        # has run is left behind for the pipeline's next tenant
+        sample = ""
+        if pipeline.input_file is not None:
+            sample = stratified_sample(ExecContext(fs=request.files)
+                                       .read_file(pipeline.input_file))
         if request.optimize:
             from ..optimizer import select_plan
 
             plan, _optimization = select_plan(pipeline, config=config,
                                               store=self.store,
+                                              sample=sample,
                                               scheduler=request.scheduler)
             return plan
         results = synthesize_pipeline(pipeline, config=config,
                                       store=self.store)
-        scheduler = request.scheduler
         return compile_pipeline(pipeline, results, optimize=request.optimize,
-                                scheduler=scheduler)
+                                sample_input=sample or None,
+                                scheduler=request.scheduler)
 
     # -- persistence ---------------------------------------------------------
 
@@ -245,11 +303,12 @@ class PlanCache:
         is parse + ``compile_pipeline`` — no synthesis executions, no
         rewrite search, no cost-model candidate runs.
         """
+        files = _side_files(request)
         size = len(request.pipeline) + sum(
-            len(k) + len(v) for k, v in request.files.items())
+            len(k) + len(v) for k, v in files.items())
         if size > self.max_persist_bytes:
             return
-        entry = plan_to_entry(plan, request.files, request.env)
+        entry = plan_to_entry(plan, files, request.env)
         digest = key_digest(key)
         with self._lock:
             self._snapshot[digest] = entry
@@ -283,10 +342,12 @@ class PlanCache:
 
     # -- introspection -------------------------------------------------------
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, float]:
         with self._lock:
             return {"hits": self._hits, "misses": self._misses,
                     "warm_hits": self._disk_hits,
+                    # spent in cold compiles and rehydrations
+                    "compile_seconds": self._compile_seconds,
                     "entries": len(self._plans), "capacity": self.capacity,
                     "persistent_entries": len(self._snapshot)}
 
@@ -297,3 +358,4 @@ class PlanCache:
             self._hits = 0
             self._disk_hits = 0
             self._misses = 0
+            self._compile_seconds = 0.0

@@ -25,12 +25,14 @@ and the HTTP front end maps it onto a local socket:
 ``GET /v1/plans/<digest>``  plan-entry replication fetch
 ==========================  =============================================
 
-Isolation model: each job's files/env live in the job's own
-:class:`ExecContext` (embedded in its compiled plan); jobs never see
-each other's filesystems unless they are byte-identical, in which case
-they *share a read-only plan* — that sharing is the point of the
-cache.  Worker pools are the only cross-job mutable resource, and the
-:class:`RunnerPool` hands each runner to exactly one job at a time.
+Isolation model: a compiled plan embeds the side files its commands
+can read and the env, in its own :class:`ExecContext`; jobs *share a
+read-only plan* only when those are byte-identical — that sharing is
+the point of the cache.  A job's input stream is never in a shared
+plan: it is bound when the job runs (``run(data)``), so it is visible
+to that job alone.  Worker pools are the only cross-job mutable
+resource, and the :class:`RunnerPool` hands each runner to exactly one
+job at a time.
 """
 
 from __future__ import annotations
@@ -199,10 +201,13 @@ class ReproService:
             plan, hit = self.plan_cache.get_or_compile(request)
             result.plan_cache = ("hit" if hit == HIT_MEMORY
                                  else "warm" if hit == HIT_DISK else "miss")
+            # the plan is a function of the pipeline; the stream it runs
+            # on is this job's own (None: the pipeline reads no file)
+            data = request.files.get(plan.pipeline.input_file)
             distributed = None
             if request.distribute:
                 distributed = self._run_distributed(result.job_id, plan,
-                                                    request.k)
+                                                    request.k, data)
             if distributed is not None:
                 result.output, result.stats = distributed
             else:
@@ -214,7 +219,7 @@ class ReproService:
                         plan, k=request.k, engine=request.engine,
                         runner=runner, streaming=request.streaming,
                         speculate=request.speculate)
-                    result.output = pp.run()
+                    result.output = pp.run(data)
                 finally:
                     self.runner_pool.release(runner)
                 result.stats = pp.last_stats
@@ -230,7 +235,8 @@ class ReproService:
         self._account(result)
         job.done.set()
 
-    def _run_distributed(self, job_id: str, plan, k: int):
+    def _run_distributed(self, job_id: str, plan, k: int,
+                         data: Optional[str]):
         """Run a ``distribute`` job on the cluster; ``(output, stats)``,
         or None to fall back to local execution (no live nodes, or the
         cluster failed the stage — e.g. every node died mid-job)."""
@@ -243,7 +249,7 @@ class ReproService:
             plan, self.board, self.node_pool, self.plan_registry,
             k=k, job_id=job_id)
         try:
-            output = runner.run()
+            output = runner.run(data)
         except DistribError as exc:
             logger.warning("job %s fell back to local execution: %s",
                            job_id, exc)
@@ -356,6 +362,8 @@ class ReproService:
             ("repro_plan_cache_hits", s["plan_cache"]["hits"]),
             ("repro_plan_cache_warm_hits", s["plan_cache"]["warm_hits"]),
             ("repro_plan_cache_misses", s["plan_cache"]["misses"]),
+            ("repro_plan_compile_seconds_total",
+             s["plan_cache"]["compile_seconds"]),
             ("repro_plan_cache_entries", s["plan_cache"]["entries"]),
             ("repro_plan_cache_persistent_entries",
              s["plan_cache"]["persistent_entries"]),

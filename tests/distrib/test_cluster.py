@@ -31,6 +31,36 @@ def test_two_node_run_is_byte_identical(pp, serial_output):
     assert len(cluster.registry) == 1
 
 
+def test_one_pipeline_over_many_datasets_replicates_one_plan(tiny_config):
+    """The service's plans hold no input stream, so the registry entry
+    of a pipeline is the same for every dataset: each executor fetches
+    it once, however many datasets the pipeline runs over."""
+    from repro.service.cache import PlanCache
+    from repro.service.protocol import JobRequest
+    from repro.shell import Pipeline
+    from repro.unixsim import ExecContext
+
+    from .conftest import TEXT
+
+    cache = PlanCache(config_factory=lambda _request: tiny_config)
+    datasets = [make_data(3000 + 400 * i) for i in range(4)]
+    replications = 0
+    with LocalCluster(nodes=2, k=2, min_chunk_bytes=64) as cluster:
+        for data in datasets:
+            plan, _hit = cache.get_or_compile(
+                JobRequest(pipeline=TEXT, files={"in.txt": data}))
+            serial = Pipeline.from_string(
+                TEXT, context=ExecContext(fs={"in.txt": data})).run()
+            assert cluster.run_plan(plan, data) == serial
+            replications += cluster.last_stats.distrib.plan_replications
+        (entry,) = cluster.registry._entries.values()
+    assert cache.stats()["misses"] == 1
+    assert replications == cluster.registry.fetches() == 2
+    assert "in.txt" not in entry["files"]
+    assert not any(data in contents for data in datasets
+                   for contents in entry["files"].values())
+
+
 def test_eliminated_member_is_neither_a_task_nor_shipped(pp, serial_output,
                                                          tiny_config):
     """``tr A-Z a-z`` is eliminated into ``sort``: the two run as one

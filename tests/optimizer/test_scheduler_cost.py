@@ -125,6 +125,39 @@ def test_selector_auto_sample_sees_tail_skew(tiny_config, cache):
     assert any(len(line) > 100 for line in lines)
 
 
+def test_single_and_costed_paths_profile_the_same_sample(tiny_config, cache,
+                                                         monkeypatch):
+    """One sampling policy: whether or not there is anything to choose
+    between, stage reductions are profiled on the stratified sample —
+    also when the context does not hold the input (the service)."""
+    from repro.optimizer.selector import SAMPLE_BYTES, stratified_sample
+    from repro.parallel import planner
+
+    data = "".join(f"line {i % 97}\n" for i in range(40_000))
+    assert len(data) > 200_000 > SAMPLE_BYTES
+    profiled = []
+    profile = planner.profile_stage_reductions
+
+    def spy(pipeline, sample_input, *args, **kwargs):
+        profiled.append(sample_input)
+        return profile(pipeline, sample_input, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "profile_stage_reductions", spy)
+    for fs, sample in (({"in.txt": data}, None),
+                       ({}, stratified_sample(data))):
+        pipeline = Pipeline.from_string("cat in.txt | sort",
+                                        context=ExecContext(fs=fs))
+        _plan, single = select_plan(pipeline, k=4, config=tiny_config,
+                                    cache=cache, sample=sample,
+                                    scheduler=STATIC)
+        _plan, costed = select_plan(pipeline, k=4, config=tiny_config,
+                                    cache=cache, sample=sample)
+        assert single.candidates == 1 and not single.costs
+        assert costed.costs, "auto prices both schedulers"
+    assert len(profiled) == 4
+    assert set(profiled) == {stratified_sample(data)}
+
+
 def test_selector_pinned_scheduler_respected(tiny_config, cache):
     data = "b\na\nc\n" * 30
     context = ExecContext(fs={"in.txt": data})

@@ -71,6 +71,46 @@ def test_distribute_job_runs_on_executors(cluster_service):
     assert "repro_nodes_live 2" in metrics
 
 
+def test_one_pipeline_over_many_datasets_replicates_one_plan(
+        cluster_service):
+    """Four datasets, one pipeline, two nodes: one plan entry holding
+    no input, fetched once per node (it was one entry and two fetches
+    per dataset), and every job gets its own bytes."""
+    service, _agents = cluster_service
+    client = ServiceClient(service.url, client_id="tenant")
+    datasets = [{"in.txt": "".join(f"Word {(i * d) % 11}\n"
+                                   for i in range(8000))}
+                for d in range(1, 5)]
+    results = [client.run(PIPELINE, files=files, k=2, distribute=True)
+               for files in datasets]
+    assert [r.plan_cache for r in results] == ["miss", "hit", "hit", "hit"]
+    assert [r.output for r in results] \
+        == [_serial(files=files) for files in datasets]
+    assert all(r.stats.distrib.tasks > 0 for r in results)
+    assert sum(r.stats.distrib.plan_replications for r in results) == 2
+    status = client.status()["distrib"]
+    assert status["plan_replications"] == 2
+    assert status["plans"] == {"plans": 1, "replications": 2}
+    (entry,) = service.plan_registry._entries.values()
+    assert "in.txt" not in entry["files"]
+
+
+def test_distributed_xargs_ships_its_files_in_the_entry(cluster_service):
+    """``xargs`` reads files named by its data, so the input and the
+    files it lists stay in the plan — and travel to the executors."""
+    service, _agents = cluster_service
+    pipeline = "cat in.txt | xargs cat | sort"
+    files = {"in.txt": "a.txt\nb.txt\n" * 100,
+             "a.txt": "Word 1\nword 2\n", "b.txt": "WORD 1\n"}
+    client = ServiceClient(service.url, client_id="tenant")
+    result = client.run(pipeline, files=dict(files), k=2, distribute=True)
+    assert result.status == "done", result.error
+    assert result.output == _serial(pipeline, files)
+    assert result.stats.distrib.tasks > 0
+    (entry,) = service.plan_registry._entries.values()
+    assert {name: entry["files"][name] for name in files} == files
+
+
 def test_distribute_falls_back_without_nodes(service):
     client = ServiceClient(service.url, client_id="tenant")
     result = client.run(PIPELINE, files=dict(FILES), k=2, distribute=True)

@@ -32,8 +32,8 @@ FILES = {"input.txt": "b\na\nc\na\nb\nabc\ncab\n"}
 ENV = {"IN": "input.txt"}
 
 
-def _serial(pipeline: str) -> str:
-    context = ExecContext(fs=dict(FILES), env=dict(ENV))
+def _serial(pipeline: str, files=FILES) -> str:
+    context = ExecContext(fs=dict(files), env=dict(ENV))
     return Pipeline.from_string(pipeline, env=ENV, context=context).run()
 
 
@@ -94,6 +94,89 @@ def test_concurrent_jobs_byte_identical_with_cache_and_clean_shutdown(
     # clean shutdown: every service thread joined
     assert service.stop(timeout=10)
     _assert_no_new_threads(before)
+
+
+def _run_all(url, jobs):
+    """Admit every ``(pipeline, files, knobs)`` job before waiting for
+    any, so they queue and run concurrently; results in job order."""
+    clients = [ServiceClient(url, client_id=f"tenant-{i % 4}")
+               for i in range(len(jobs))]
+    job_ids = [client.submit(pipeline, files=files, env=ENV, **knobs)
+               for client, (pipeline, files, knobs) in zip(clients, jobs)]
+    return [client.wait(job_id, timeout=120)
+            for client, job_id in zip(clients, job_ids)]
+
+
+def test_one_plan_serves_every_dataset_and_leaks_none(service):
+    """A plan is a function of the pipeline: 16 concurrent jobs of one
+    pipeline over 16 distinct streams share one compile under every
+    engine and data plane, and each gets its own bytes back."""
+    pipeline = PIPELINES[1]
+    inputs = [{"input.txt": "".join(f"w{(i * j) % 7} t{i}\n"
+                                    for j in range(200))}
+              for i in range(16)]
+    expected = [_serial(pipeline, files) for files in inputs]
+    assert len(set(expected)) == 16
+    for engine in ("serial", "threads", "processes"):
+        for streaming in (True, False):
+            knobs = dict(k=2, engine=engine, streaming=streaming)
+            results = _run_all(service.url, [(pipeline, files, knobs)
+                                             for files in inputs])
+            assert [r.error for r in results] == [None] * 16
+            assert [r.output for r in results] == expected, knobs
+    stats = service.plan_cache.stats()
+    assert stats["misses"] == 1 and stats["entries"] == 1
+    assert stats["hits"] == 6 * 16 - 1
+
+
+def test_side_files_split_plans_streams_do_not(service):
+    pipeline = "cat $IN | sort | comm -23 - dict.txt"
+    jobs = [{"input.txt": "b\na\nc\n", "dict.txt": "a\n"},
+            {"input.txt": "b\na\nc\n", "dict.txt": "b\nc\n"},
+            {"input.txt": "d\na\n", "dict.txt": "a\n"}]
+    client = ServiceClient(service.url)
+    results = [client.run(pipeline, files=files, env=ENV, k=2)
+               for files in jobs]
+    assert [r.plan_cache for r in results] == ["miss", "miss", "hit"]
+    assert [r.output for r in results] \
+        == [_serial(pipeline, files) for files in jobs] \
+        == ["b\nc\n", "a\n", "d\n"]
+    assert service.plan_cache.stats()["entries"] == 2
+
+
+@pytest.mark.parametrize("pipeline", [
+    "cat $IN | xargs cat | sort",         # the poets/1_1.sh shape
+    "cat $IN | sort | comm -12 - $IN",    # a later stage names $IN
+])
+@pytest.mark.parametrize("engine", ["serial", "processes"])
+def test_observable_input_stays_per_dataset_and_byte_correct(
+        service, pipeline, engine):
+    """Where the pipeline can reach its input other than as the stream
+    (xargs reads files named by its data; an argument re-names it), the
+    input stays in the plan's identity and context, as before."""
+    side = {"a.txt": "x\ny\nx\n", "b.txt": "b.txt\na.txt\n"}
+    jobs = [{**side, "input.txt": listing}
+            for listing in ("a.txt\nb.txt\n", "b.txt\n", "a.txt\nb.txt\n")]
+    client = ServiceClient(service.url)
+    results = [client.run(pipeline, files=files, env=ENV, k=2, engine=engine)
+               for files in jobs]
+    assert [r.error for r in results] == [None] * 3
+    assert [r.plan_cache for r in results] == ["miss", "miss", "hit"]
+    assert [r.output for r in results] \
+        == [_serial(pipeline, files) for files in jobs]
+
+
+def test_process_runner_is_reused_across_datasets(service):
+    """The process-pool key is the plan's context — side files — so two
+    datasets of one pipeline warm one pool (it was one pool each)."""
+    client = ServiceClient(service.url)
+    for text in ("b\na\nb\n", "z\ny\nz\nx\n"):
+        files = {"input.txt": text}
+        result = client.run(PIPELINES[1], files=files, env=ENV, k=2,
+                            engine="processes")
+        assert result.output == _serial(PIPELINES[1], files)
+    assert service.runner_pool.created == 1
+    assert service.runner_pool.reused == 1
 
 
 def test_submit_and_wait_roundtrip(service, fast_config):
@@ -195,6 +278,13 @@ def test_status_and_metrics_endpoints(service):
     assert "repro_jobs_done 1" in metrics
     assert "repro_plan_cache_misses 1" in metrics
     assert 'repro_stage_bytes_out{stage="sort"}' in metrics
+    # latency, not only counts: the compile share is readable from the
+    # daemon itself, and repeats do not add to it
+    compiled = status["plan_cache"]["compile_seconds"]
+    assert 0.0 < compiled <= status["uptime_seconds"]
+    assert f"repro_plan_compile_seconds_total {compiled}" in metrics
+    assert client.run(PIPELINES[0], files=FILES, env=ENV).plan_cache == "hit"
+    assert client.status()["plan_cache"]["compile_seconds"] == compiled
 
 
 def test_saturation_maps_to_429(fast_config):
@@ -421,6 +511,20 @@ def test_plan_cache_survives_daemon_restart(fast_config, tmp_path):
         assert "repro_plan_cache_warm_hits 1" in metrics
     finally:
         reborn.stop()
+    # the snapshot is per pipeline, not per dataset: a third daemon
+    # serves data it has never seen from it
+    third = ReproService(ServiceConfig(
+        concurrency=2, plan_cache_path=str(snapshot),
+        config_factory=lambda _request: fast_config))
+    third.start_http()
+    try:
+        fresh = {"input.txt": "never\nseen\nnever\n"}
+        result = ServiceClient(third.url).run(PIPELINES[1], files=fresh,
+                                              env=ENV, k=2)
+        assert result.plan_cache == "warm"
+        assert result.output == _serial(PIPELINES[1], fresh)
+    finally:
+        third.stop()
 
 
 def test_jobs_queue_fair_share_over_http(fast_config):

@@ -156,3 +156,41 @@ class TestResultMetadata:
         assert r.input_mode == "filenames"
         assert r.ok
         assert isinstance(r.combiner.primary.op, Concat)
+
+
+_SEED_ZERO_PROBE = """
+import json
+from repro.core.synthesis import SynthesisConfig, synthesize
+from repro.shell import Command
+
+config = SynthesisConfig(max_rounds=6, patience=2, seed=0)
+out = []
+for argv in (["sort"], ["uniq", "-c"]):
+    r = synthesize(Command(argv), config)
+    out.append([r.executions, r.rounds,
+                [c.pretty() for c in r.combiner.combiners]])
+print(json.dumps(out))
+"""
+
+
+def test_seed_zero_is_the_same_in_every_process():
+    """``seed=0`` — the JobRequest default — derives a per-command seed;
+    it must not come from ``hash()``, which differs per interpreter, or
+    two daemons synthesize the same command differently."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outcomes = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _SEED_ZERO_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        outcomes.append(json.loads(proc.stdout))
+    assert outcomes[0] == outcomes[1]
+    assert all(executions > 0 for executions, _rounds, _comb in outcomes[0])
